@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 from padlab.cyclotomic import ExactComplex
-from padlab.padic import Box
+from padlab.padic import Box, rep_key
 from padlab.schwartz import SchwartzBruhat
 
 
@@ -19,7 +19,7 @@ def main(p=3, n=1, seed=11):
     print(f"phi: {phi!r}")
     hat = phi.fourier()
     print(f"F(phi): {hat!r}")
-    for rep in sorted(hat.table, key=lambda r: tuple(map(str, r))):
+    for rep in sorted(hat.table, key=rep_key):
         print(f"  F(phi)({','.join(map(str, rep))}) = {hat.table[rep].to_string()}")
     twice = hat.fourier()
     target = phi.reflect().scale(Fraction(1, p**n))

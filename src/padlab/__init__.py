@@ -17,13 +17,12 @@ from .charts import (
     HenselChart,
     PowerChart,
     certify_resolution,
-    chart_image_membership,
     fiber_size,
     hensel_root,
     nth_power_test,
     unit_swallow_chart,
 )
-from .cyclotomic import ExactComplex, field_ops, is_zero, zeta
+from .cyclotomic import ExactComplex, zeta
 from .dist import (
     Distribution,
     NonIntegrable,
@@ -38,19 +37,16 @@ from .dist import (
 )
 from .extend import (
     MinCoordMap,
-    TestSplit,
+    Split,
     extend_min_coord,
-    graph_section_nu,
     min_coord_lift,
     regularize,
-    test_split,
 )
 from .graphs import GraphManifold, point_manifold
 from .micro import (
     ConormalPresentation,
     ScanParams,
     ScanReport,
-    conormal_contains,
     holonomicity_check,
     smooth_locus_scan,
     wf_scan,
@@ -58,9 +54,7 @@ from .micro import (
 from .padic import (
     Box,
     ClopenSet,
-    clopen_algebra,
     coset_rep,
-    enumerate_cosets,
     norm,
     refine_partition,
     urysohn_clopen,
@@ -68,6 +62,6 @@ from .padic import (
 )
 from .ratterm import NotInDomain, Poly, RatTerm
 from .scene import Scene, SceneError, load_scene
-from .schwartz import Character, SchwartzBruhat, fourier, integrate, plancherel_pairing, psi_eval
+from .schwartz import SchwartzBruhat, psi_eval
 
 __all__ = [name for name in dir() if not name.startswith("_")]

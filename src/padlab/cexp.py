@@ -11,12 +11,12 @@ three, which have no conditional branching.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .cyclotomic import ExactComplex
-from .padic import Box, Rat, _as_fraction, coset_rep, norm, valuation
+from .padic import Box, Rat, coset_rep, norm, valuation
 from .ratterm import NotInDomain, Poly, RatTerm
 from .schwartz import psi_eval
 

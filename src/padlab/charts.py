@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .padic import Box, ClopenSet, Rat, _as_fraction, coset_rep, int_rep, valuation
-from .ratterm import NotInDomain, Poly, RatTerm
+from .padic import Box, Rat, _as_fraction, coset_rep, int_rep, valuation
+from .ratterm import Poly, RatTerm
 
 
 # -- n-th power structure ----------------------------------------------------
@@ -132,8 +132,6 @@ class PowerChart:
         if self.N < 1:
             raise ValueError("N must be positive")
 
-    certified = True
-
     @property
     def n(self) -> int:
         return len(self.lam)
@@ -241,8 +239,6 @@ class HenselChart:
         root = hensel_root(self.u, self.k1, self.p, self.prec)
         object.__setattr__(self, "root", root)
 
-    certified = True
-
     @property
     def n(self) -> int:
         return self.u.nvars
@@ -289,12 +285,6 @@ class HenselChart:
 
     def __str__(self):
         return f"hensel(u={self.u}, k1={self.k1})"
-
-
-def chart_image_membership(chart, x: Sequence[Rat]):
-    """(x in chart image, fiber representatives to the chart's precision)."""
-    member = chart.image_membership(x)
-    return member, chart.fiber_reps(x) if member else []
 
 
 def unit_swallow_chart(u: Poly, mono_exps: Sequence[int], p: int,

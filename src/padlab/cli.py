@@ -14,15 +14,14 @@ import random
 import sys
 from fractions import Fraction
 
-from .cexp import CexpSyntaxError, NotInAlgebra, bounded_rewrite, parse_ratterm, rewrite_bound
-from .charts import PowerChart, certify_resolution, fiber_size, nth_power_test, unit_swallow_chart
+from .cexp import CexpSyntaxError, NotInAlgebra, parse_ratterm
+from .charts import PowerChart, certify_resolution, nth_power_test, unit_swallow_chart
 from .cyclotomic import ExactComplex
 from .dist import NonIntegrable, UnsupportedShape, b_function, haar_on, pushforward_chart
 from .extend import extend_min_coord, regularize
-from .graphs import GraphManifold
 from .micro import ScanParams, smooth_locus_scan, wf_scan
-from .padic import Box, ClopenSet, refine_partition, urysohn_clopen, valuation
-from .ratterm import NotInDomain, Poly
+from .padic import Box, ClopenSet, refine_partition, rep_key, urysohn_clopen, valuation
+from .ratterm import NotInDomain
 from .scene import SceneError, load_scene, parse_chart, parse_clopen, parse_point
 from .schwartz import SchwartzBruhat
 
@@ -59,7 +58,7 @@ def _load(path: str):
 def _sb_csv(f: SchwartzBruhat, digits: int) -> list[str]:
     lines = [f"# p={f.p} n={f.n} support_level={f.m} constancy_level={f.k}",
              "rep,value_exact,value_float"]
-    for rep in sorted(f.table, key=lambda r: tuple(map(str, r))):
+    for rep in sorted(f.table, key=rep_key):
         val = f.table[rep]
         coords = ";".join(str(c) for c in rep)
         lines.append(f"({coords}),{val.to_string()},{_fmt_float(val.to_complex(), digits)}")
@@ -114,7 +113,7 @@ def cmd_wf(args) -> int:
     lines = [f"# kx={params.k_x} ky={params.k_y} ktest={params.k_test} "
              f"n={params.n_min}..{params.n_max}",
              "x_rep,y_rep,verdict,threshold,witness_lambda,witness_value_float"]
-    for (x_rep, y_rep) in sorted(report.cells, key=lambda k: tuple(map(str, k[0] + k[1]))):
+    for (x_rep, y_rep) in sorted(report.cells, key=lambda k: rep_key(k[0] + k[1])):
         res = report.cells[(x_rep, y_rep)]
         xs = ";".join(map(str, x_rep))
         ys = ";".join(map(str, y_rep))
@@ -135,7 +134,7 @@ def cmd_smoothlocus(args) -> int:
         else scene.clopens[args.region]
     flags = smooth_locus_scan(xi, region, args.depth, scan_level=args.level)
     lines = ["rep,verdict,gamma_exact"]
-    for rep in sorted(flags, key=lambda r: tuple(map(str, r))):
+    for rep in sorted(flags, key=rep_key):
         v = flags[rep]
         gamma = v.gamma.to_string() if v.gamma is not None else ""
         coords = ";".join(map(str, rep))
@@ -244,7 +243,7 @@ def cmd_pushforward(args) -> int:
     scene = _load(args.scene)
     xi = scene.lookup("distributions", args.dist)
     chart = parse_chart(args.chart, scene.p)
-    push = pushforward_chart(xi, chart, args.fiber)
+    push = pushforward_chart(xi, chart)
     lines = ["test,value_exact,value_float"]
     for name, phi in _battery(scene.p, xi.n, args.depth):
         val = push.eval(phi)
@@ -391,9 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap = _Cli(prog="padlab", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp, scene=True):
-        if scene:
-            sp.add_argument("--scene", required=True)
+    def common(sp):
+        sp.add_argument("--scene", required=True)
         sp.add_argument("--out", default=None)
         sp.add_argument("--float-digits", type=int, default=12, dest="float_digits")
 
@@ -464,7 +462,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--dist", required=True)
     sp.add_argument("--chart", required=True)
-    sp.add_argument("--fiber", type=int, default=1)
     sp.add_argument("--depth", type=int, default=2)
     sp.set_defaults(fn=cmd_pushforward)
 

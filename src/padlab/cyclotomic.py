@@ -328,19 +328,3 @@ def zeta(p: int, r: int, exponent: int = 1) -> ExactComplex:
     """Primitive p^r-th root of unity raised to an integer power."""
     return ExactComplex.root(p, r, exponent)
 
-
-def field_ops(a: ExactComplex, b: ExactComplex, op: str) -> ExactComplex:
-    """Exact field arithmetic dispatch: op in {"add", "sub", "mul", "div"}."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown field operation {op!r}")
-
-
-def is_zero(a: ExactComplex) -> bool:
-    return a.is_zero()

@@ -12,16 +12,15 @@ closed rational form.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import inf
 from typing import Callable, Sequence
 
-from .cexp import Atom, CexpExpr, constancy_level
+from .cexp import Atom, CexpExpr
 from .cyclotomic import ExactComplex
 from .graphs import GraphManifold
-from .padic import Box, ClopenSet, Rat, _as_fraction, coset_rep, valuation
-from .ratterm import NotInDomain, RatTerm
+from .padic import Box, ClopenSet, Rat, _as_fraction, cell_volume, norm, rep_key, valuation
+from .ratterm import RatTerm
 from .schwartz import SchwartzBruhat, psi_eval
 
 
@@ -48,17 +47,19 @@ class ClosedFormWF:
 
 @dataclass
 class Distribution:
-    """Linear functional on Schwartz-Bruhat functions, exactly evaluable."""
+    """Linear functional on Schwartz-Bruhat functions, exactly evaluable.
+
+    eval_mod_fn, when given, computes xi(phi * psi(<w, .>)) directly; it
+    must agree with eval_fn(phi.modulate(w)).  domain is the clopen set
+    that carries xi, if any, and wf its closed-form wave front set.
+    """
 
     p: int
     n: int
-    kind: str
     eval_fn: Callable[[SchwartzBruhat], ExactComplex]
+    eval_mod_fn: Callable[[SchwartzBruhat, Sequence[Rat]], ExactComplex] | None = None
     domain: ClopenSet | None = None
     wf: ClosedFormWF | None = None
-    density: CexpExpr | None = None
-    support: ClopenSet | None = None
-    meta: dict = field(default_factory=dict)
 
     def eval(self, phi: SchwartzBruhat) -> ExactComplex:
         if phi.p != self.p or phi.n != self.n:
@@ -67,9 +68,8 @@ class Distribution:
 
     def eval_mod(self, phi: SchwartzBruhat, w: Sequence[Rat]) -> ExactComplex:
         """xi(phi * psi(<w, .>)): the Fourier pairing used by wave-front scans."""
-        fast = self.meta.get("eval_mod")
-        if fast is not None:
-            return fast(phi, w)
+        if self.eval_mod_fn is not None:
+            return self.eval_mod_fn(phi, w)
         return self.eval(phi.modulate(w))
 
 
@@ -86,9 +86,7 @@ def dirac(p: int, a: Sequence[Rat]) -> Distribution:
     def ev_mod(phi: SchwartzBruhat, w) -> ExactComplex:
         return phi.evaluate(a) * psi_eval(sum(_as_fraction(wi) * ai for wi, ai in zip(w, a)), p)
 
-    support = ClopenSet.single(Box(p, a, 6))  # metadata only; exact support is {a}
-    return Distribution(p, n, "dirac", ev, wf=ClosedFormWF("point", point=a),
-                        support=support, meta={"point": a, "eval_mod": ev_mod})
+    return Distribution(p, n, ev, ev_mod, wf=ClosedFormWF("point", point=a))
 
 
 def haar_on(X: ClopenSet) -> Distribution:
@@ -108,11 +106,9 @@ def haar_on(X: ClopenSet) -> Distribution:
         total = ExactComplex.zero(p)
         for rep, val in f.table.items():
             total = total + val * psi_eval(sum(wi * ri for wi, ri in zip(w, rep)), p)
-        cell = Fraction(1, p ** (n * k)) if k >= 0 else Fraction(p ** (-n * k))
-        return total * cell
+        return total * cell_volume(p, n, k)
 
-    return Distribution(p, n, "haar", ev, domain=X, wf=ClosedFormWF("empty"),
-                        support=X, meta={"eval_mod": ev_mod})
+    return Distribution(p, n, ev, ev_mod, domain=X, wf=ClosedFormWF("empty"))
 
 
 def graph_measure(W: GraphManifold) -> Distribution:
@@ -136,6 +132,7 @@ def graph_measure(W: GraphManifold) -> Distribution:
         return out
 
     def pulled(phi: SchwartzBruhat, w=None):
+        """xi(phi), or xi(phi * psi(<w, .>)) when w is given."""
         extra = W.lipschitz_extra()
         level0 = max(phi.k + extra, W.base.max_level())
         cells = support_cells(phi, level0)
@@ -143,8 +140,8 @@ def graph_measure(W: GraphManifold) -> Distribution:
         if w is None:
             for _, val in cells:
                 total = total + val
-            vol = Fraction(1, p ** (W.d * level0)) if level0 >= 0 else Fraction(p ** (-W.d * level0))
-            return total * vol
+            return total * cell_volume(p, W.d, level0)
+        w = tuple(_as_fraction(wi) for wi in w)
         shift = max((1 - valuation(wi, p) for wi in w if wi != 0), default=0)
         level = max(level0, shift + extra)
         for t, val in cells:
@@ -153,17 +150,9 @@ def graph_measure(W: GraphManifold) -> Distribution:
                 x = W.point(sub.center)
                 acc = acc + psi_eval(sum(wi * xi for wi, xi in zip(w, x)), p)
             total = total + val * acc
-        vol = Fraction(1, p ** (W.d * level)) if level >= 0 else Fraction(p ** (-W.d * level))
-        return total * vol
+        return total * cell_volume(p, W.d, level)
 
-    def ev(phi: SchwartzBruhat) -> ExactComplex:
-        return pulled(phi)
-
-    def ev_mod(phi: SchwartzBruhat, w) -> ExactComplex:
-        return pulled(phi, tuple(_as_fraction(wi) for wi in w))
-
-    return Distribution(p, n, "graph", ev, wf=ClosedFormWF("conormal", manifold=W),
-                        meta={"manifold": W, "eval_mod": ev_mod})
+    return Distribution(p, n, pulled, pulled, wf=ClosedFormWF("conormal", manifold=W))
 
 
 # -- polynomial-times-geometric tails --------------------------------------
@@ -252,8 +241,7 @@ def _expand_term(p: int, m: int, coef: ExactComplex, atoms) -> list[_MonoTerm]:
             if mono is None:
                 raise UnsupportedShape(f"abs argument {a.term} is not a monomial")
             c, exps = mono
-            v = valuation(c, p)
-            scale *= (Fraction(1, p**v) if v >= 0 else Fraction(p ** (-v))) ** a.power
+            scale *= norm(c, p) ** a.power
             for i in range(m):
                 s[i] += exps[i] * a.power
         elif a.kind == "ord":
@@ -310,16 +298,22 @@ class _PsiAverager:
     trivial zone are decided by valuation alone; the finitely many middle
     values are brute-force character sums at a certified level, checked by
     recomputation one level finer.
+
+    The cache is keyed by w alone.  That is sound only within one (cell,
+    term), where w fixes a_star; across cells the same w comes with other
+    a_star values and other averages (p = 3, one shallow coordinate with
+    kappa = 1 and a = 2, w = -1: zeta_9 at a_star = 1/3, zeta_9^2 at
+    a_star = 2/3).  So an averager must not be shared between cells.
     """
 
-    def __init__(self, p: int, coords: list[tuple[str, int, int, Fraction]]):
-        # coords: (mode, kappa, a_level, unit_scale) with mode in {deep, shallow}
+    def __init__(self, p: int, coords: list[tuple[str, int, int]]):
+        # coords: (mode, kappa, a_level) with mode in {deep, shallow}
         self.p = p
         self.coords = [c for c in coords if c[1] != 0]
         self.cache: dict[int, ExactComplex] = {}
         extra = 1 if p == 2 else 0
         self.vanish_at = max(
-            (-a - valuation(kappa, p) - extra for (_, kappa, a, _) in self.coords),
+            (-a - valuation(kappa, p) - extra for (_, kappa, a) in self.coords),
             default=-(10**9),
         )
 
@@ -350,10 +344,10 @@ class _PsiAverager:
     def _brute(self, w: int, a_star: Fraction, bump: int) -> ExactComplex:
         p = self.p
         extra = 2 if p == 2 else 0
-        lvl = max([1] + [1 - w + valuation(k, p) + extra for (_, k, _, _) in self.coords]
-                  + [a + 1 for (mode, _, a, _) in self.coords if mode == "shallow"]) + bump
+        lvl = max([1] + [1 - w + valuation(k, p) + extra for (_, k, _) in self.coords]
+                  + [a + 1 for (mode, _, a) in self.coords if mode == "shallow"]) + bump
         spaces = []
-        for mode, kappa, a, _ in self.coords:
+        for mode, kappa, a in self.coords:
             if mode == "deep":
                 pts = [Fraction(u) for u in range(1, p**lvl) if u % p != 0]
             else:
@@ -371,8 +365,7 @@ class _PsiAverager:
         return total * Fraction(1, count)
 
 
-def density_distribution(e: CexpExpr, X: ClopenSet,
-                         singular_hyperplanes: bool = True) -> Distribution:
+def density_distribution(e: CexpExpr, X: ClopenSet) -> Distribution:
     """Distribution phi -> integral over X of e(x) phi(x) dx, exactly.
 
     e must be locally constant off the coordinate hyperplanes and of
@@ -393,12 +386,12 @@ def density_distribution(e: CexpExpr, X: ClopenSet,
             terms.extend(_expand_term(p, m, coef, atoms))
         k = f.k
         total = ExactComplex.zero(p)
-        for rep, val in sorted(f.table.items(), key=lambda kv: tuple(map(str, kv[0]))):
+        for rep, val in sorted(f.table.items(), key=lambda kv: rep_key(kv[0])):
             for term in terms:
                 total = total + _cell_integral(p, m, k, rep, val, term)
         return total
 
-    return Distribution(p, m, "density", ev, domain=X, density=e)
+    return Distribution(p, m, ev, domain=X)
 
 
 def _cell_integral(p: int, m: int, k: int, rep, val: ExactComplex,
@@ -439,7 +432,7 @@ def _cell_integral(p: int, m: int, k: int, rep, val: ExactComplex,
         if term.kappa[i]:
             rho = valuation(rep[i], p)
             w0 += term.kappa[i] * rho
-            coords.append(("shallow", term.kappa[i], k - rho, rep[i]))
+            coords.append(("shallow", term.kappa[i], k - rho))
     a_star0 = term.A
     for i in shallow:
         if term.kappa[i]:
@@ -452,7 +445,7 @@ def _cell_integral(p: int, m: int, k: int, rep, val: ExactComplex,
 
     i0 = coupled[0]
     kap = term.kappa[i0]
-    averager = _PsiAverager(p, coords + [("deep", kap, 1, Fraction(1))])
+    averager = _PsiAverager(p, coords + [("deep", kap, 1)])
     z = Fraction(1, p) ** (term.s[i0] + 1)
     two_adic = 1 if p == 2 else 0
     vanish_at = averager.vanish_at
@@ -516,15 +509,11 @@ def b_function(xi: Distribution, x: Sequence[Rat], r: Rat) -> ExactComplex:
 # -- pushforward through charts ---------------------------------------------
 
 
-def pushforward_chart(xi: Distribution, chart, fiber_size: int = 1) -> Distribution:
+def pushforward_chart(xi: Distribution, chart) -> Distribution:
     """(chart)_* xi: evaluates phi -> xi(phi ∘ chart).
 
-    The chart must expose apply(x), pullback_level(k), domain_box(), and a
-    certified flag; the fiber size is carried as metadata for callers
-    assembling alteration aggregates.
+    The chart must expose apply(x), pullback_level(k) and domain_box().
     """
-    if not getattr(chart, "certified", False):
-        raise ValueError("chart carries no certification")
     p, n = xi.p, xi.n
 
     def ev(phi: SchwartzBruhat) -> ExactComplex:
@@ -538,26 +527,10 @@ def pushforward_chart(xi: Distribution, chart, fiber_size: int = 1) -> Distribut
         pulled = SchwartzBruhat(p, n, max(0, -dom.level), level, table)
         return xi.eval(pulled)
 
-    return Distribution(p, n, "pushforward", ev,
-                        meta={"chart": chart, "fiber_size": fiber_size, "base": xi})
+    return Distribution(p, n, ev)
 
 
 # -- the loci construction ---------------------------------------------------
-
-
-def eval_on_coset(e: CexpExpr, box: Box, tries: int = 3) -> ExactComplex:
-    """Value of a locally-constant-on-box expression, probing past singular reps."""
-    try:
-        return e.eval(box.center)
-    except NotInDomain:
-        pass
-    for depth in range(1, tries + 1):
-        for sub in box.subboxes(box.level + depth):
-            try:
-                return e.eval(sub.center)
-            except NotInDomain:
-                continue
-    raise NotInDomain(f"no defined point found in {box}")
 
 
 def graph_pullback(W: GraphManifold, phi: SchwartzBruhat) -> SchwartzBruhat:
@@ -602,7 +575,7 @@ def loci_distribution(g: CexpExpr, strata: Sequence[GraphManifold]) -> Distribut
             total = total + mu_i.eval(graph_pullback(W, phi))
         return total
 
-    return Distribution(p, n, "loci", ev, meta={"strata": tuple(strata)})
+    return Distribution(p, n, ev)
 
 
 def _subst_expr(e: CexpExpr, mapping: Sequence[RatTerm]) -> CexpExpr:

@@ -112,25 +112,22 @@ class GraphSection:
         return SchwartzBruhat(p, X.dim, m_out, out_level, table)
 
 
-def graph_section_nu(Z: GraphManifold, X: ClopenSet,
-                     avoid: Sequence[GraphManifold] = ()) -> GraphSection:
-    return GraphSection(Z, X, avoid)
-
-
 @dataclass
-class TestSplit:
+class Split:
     """The splitting operator phi -> phi~ from S(X) to S(U).
 
     U is X minus the union of the strata; the strata list presents the
-    complement as a chain whose i-th difference is the i-th graph.  The
-    operator is linear, exact, and the identity on functions already
-    supported off the strata.
+    complement as a chain whose i-th difference is the i-th graph, so
+    strata[i] must be closed in X minus the later strata (the caller
+    supplies the chain).  The operator is linear, exact, and the identity
+    on functions already supported off the strata.
     """
 
     X: ClopenSet
     strata: tuple[GraphManifold, ...]
 
     def __post_init__(self):
+        self.strata = tuple(self.strata)
         self.sections = []
         for i, W in enumerate(self.strata):
             self.sections.append(GraphSection(W, self.X, avoid=self.strata[i + 1:]))
@@ -154,16 +151,7 @@ class TestSplit:
         return cur
 
 
-def test_split(X: ClopenSet, strata: Sequence[GraphManifold]) -> TestSplit:
-    """Splitting along a stratified complement; strata[i] must be closed in
-    X minus the later strata (the caller supplies the chain)."""
-    return TestSplit(X, tuple(strata))
-
-
-test_split.__test__ = False  # not a pytest case despite the name
-
-
-def regularize(xi: Distribution, split: TestSplit) -> Distribution:
+def regularize(xi: Distribution, split: Split) -> Distribution:
     """Linear section of restriction: eval(phi) = xi(phi~).
 
     Restriction property: test functions supported off the strata are
@@ -174,8 +162,7 @@ def regularize(xi: Distribution, split: TestSplit) -> Distribution:
     def ev(phi: SchwartzBruhat) -> ExactComplex:
         return xi.eval(split.apply(phi))
 
-    return Distribution(p, n, "regularized", ev, domain=split.X,
-                        meta={"base": xi, "split": split})
+    return Distribution(p, n, ev, domain=split.X)
 
 
 # -- the minimal-coordinate extension ---------------------------------------
@@ -244,4 +231,4 @@ def extend_min_coord(mu: Distribution) -> Distribution:
         corrected = f - min_coord_lift(boundary_restriction(f))
         return mu.eval(corrected)
 
-    return Distribution(p, m, "min_coord_extension", ev, meta={"base": mu})
+    return Distribution(p, m, ev)

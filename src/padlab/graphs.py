@@ -8,12 +8,15 @@ ultrametric box is decidable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .padic import Box, ClopenSet, Rat, _as_fraction, coset_rep, valuation
-from .ratterm import NotInDomain, Poly, RatTerm
+from .padic import Box, ClopenSet, Rat, _as_fraction
+from .ratterm import RatTerm
+
+# how many levels finer than the base the maps are probed for definedness
+PROBE_LEVEL = 2
 
 
 @dataclass(frozen=True)
@@ -23,7 +26,6 @@ class GraphManifold:
     p: int
     base: ClopenSet
     maps: tuple[RatTerm, ...]
-    probe_level: int = 2
 
     def __post_init__(self):
         d = self.base.dim
@@ -38,9 +40,9 @@ class GraphManifold:
         object.__setattr__(self, "_polys", tuple(polys))
         # definedness probe on coset representatives
         if not self.base.is_empty() and d > 0:
-            probe = self.base.max_level() + self.probe_level
+            probe = self.base.max_level() + PROBE_LEVEL
             for box in self.base.boxes:
-                for sub in box.subboxes(min(probe, box.level + self.probe_level)):
+                for sub in box.subboxes(min(probe, box.level + PROBE_LEVEL)):
                     self.gamma(sub.center)
 
     @property
@@ -67,8 +69,6 @@ class GraphManifold:
         if len(x) != self.n:
             raise ValueError("ambient dimension mismatch")
         t, rest = x[: self.d], x[self.d:]
-        if not self.base.is_empty() and self.d == 0:
-            pass
         if self.d > 0 and not self.base.contains_point(t):
             return False
         if self.d == 0 and self.base.is_empty():
@@ -111,9 +111,6 @@ class GraphManifold:
 
     def intersects_box(self, box: Box) -> bool:
         return bool(self.base_reps_in_box(box))
-
-    def intersects_clopen(self, cs: ClopenSet) -> bool:
-        return any(self.intersects_box(b) for b in cs.boxes)
 
     def __str__(self):
         maps = ", ".join(g.to_string() for g in self.maps)

@@ -11,15 +11,14 @@ claims.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .cyclotomic import ExactComplex
 from .dist import Distribution
 from .graphs import GraphManifold
-from .padic import Box, ClopenSet, Rat, _as_fraction, coset_rep, valuation
+from .padic import Box, ClopenSet, Rat, _as_fraction, valuation
 from .schwartz import SchwartzBruhat
 
 
@@ -183,11 +182,6 @@ class ConormalPresentation:
             if total != 0:
                 return False
         return True
-
-
-def conormal_contains(cp: ConormalPresentation, x: Sequence[Rat],
-                      ycov: Sequence[Rat]) -> bool:
-    return cp.contains(x, ycov)
 
 
 def _ball_intersection_1d(balls: list[tuple[Fraction, int]], p: int):

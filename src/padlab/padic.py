@@ -46,7 +46,20 @@ def norm(x: Rat, p: int) -> Fraction:
     v = valuation(x, p)
     if v is inf:
         return Fraction(0)
-    return Fraction(1, p**v) if v >= 0 else Fraction(p ** (-v))
+    return cell_volume(p, 1, v)
+
+
+def cell_volume(p: int, n: int, k: int) -> Fraction:
+    """Haar volume p^(-nk) of a level-k coset in Q_p^n; exact for every integer k."""
+    return Fraction(1, p) ** (n * k)
+
+
+def rep_key(rep: Sequence[Rat]) -> tuple[str, ...]:
+    """Canonical order of coset representatives: coordinate-wise by string.
+
+    Reports list cells in this order, so changing it changes their bytes.
+    """
+    return tuple(map(str, rep))
 
 
 def tuple_valuation(xs: Sequence[Rat], p: int):
@@ -54,15 +67,6 @@ def tuple_valuation(xs: Sequence[Rat], p: int):
     if not xs:
         return inf
     return min(valuation(x, p) for x in xs)
-
-
-def unit_part(x: Rat, p: int) -> Fraction:
-    """x / p^v(x) for nonzero x."""
-    x = _as_fraction(x)
-    if x == 0:
-        raise ZeroDivisionError("unit part of 0")
-    v = valuation(x, p)
-    return x / Fraction(p) ** v
 
 
 def coset_rep(x: Rat, p: int, k: int) -> Fraction:
@@ -126,8 +130,7 @@ class Box:
         return len(self.center)
 
     def volume(self) -> Fraction:
-        return Fraction(1, self.p ** (self.dim * self.level)) if self.level >= 0 else \
-            Fraction(self.p ** (-self.dim * self.level))
+        return cell_volume(self.p, self.dim, self.level)
 
     def contains_point(self, y: Sequence[Rat]) -> bool:
         if len(y) != self.dim:
@@ -155,11 +158,6 @@ class Box:
     def __str__(self):
         coords = ",".join(str(c) for c in self.center)
         return f"box({coords}; {self.level})"
-
-
-def enumerate_cosets(b: Box, k: int) -> list[Box]:
-    """Disjoint level-k sub-boxes of b with canonical representatives."""
-    return b.subboxes(k)
 
 
 def _merge_siblings(boxes: list[Box], p: int, dim: int) -> list[Box]:
@@ -213,7 +211,7 @@ class ClopenSet:
         # split partial overlaps: with nested-or-disjoint boxes, dropping
         # contained ones already leaves a disjoint family
         kept = _merge_siblings(kept, p, dim)
-        kept.sort(key=lambda b: (b.level, tuple(map(str, b.center))))
+        kept.sort(key=lambda b: (b.level, rep_key(b.center)))
         return ClopenSet(p, dim, tuple(kept))
 
     @staticmethod
@@ -273,7 +271,7 @@ class ClopenSet:
         out = []
         for b in self.boxes:
             out.extend(b.subboxes(k))
-        return sorted(out, key=lambda b: tuple(map(str, b.center)))
+        return sorted(out, key=lambda b: rep_key(b.center))
 
     def __str__(self):
         return "; ".join(str(b) for b in self.boxes) if self.boxes else "<empty>"
@@ -286,17 +284,6 @@ def _box_minus_box(a: Box, b: Box) -> list[Box]:
         return []
     # b is strictly inside a: split a one level and recurse
     return [piece for child in a.subboxes(a.level + 1) for piece in _box_minus_box(child, b)]
-
-
-def clopen_algebra(a: ClopenSet, b: ClopenSet, op: str) -> ClopenSet:
-    """Exact set algebra dispatch: op in {"union", "intersect", "diff"}."""
-    if op == "union":
-        return a.union(b)
-    if op == "intersect":
-        return a.intersect(b)
-    if op == "diff":
-        return a.difference(b)
-    raise ValueError(f"unknown clopen operation {op!r}")
 
 
 def _maximal_level_for(center: Sequence[Fraction], p: int, U: ClopenSet,

@@ -11,7 +11,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .cexp import CexpExpr, CexpSyntaxError, _Parser, parse as parse_cexp, parse_ratterm
+from .cexp import CexpSyntaxError, parse as parse_cexp, parse_ratterm
 from .charts import HenselChart, PowerChart
 from .cyclotomic import ExactComplex
 from .dist import (
@@ -24,8 +24,7 @@ from .dist import (
     pushforward_chart,
 )
 from .graphs import GraphManifold
-from .padic import Box, ClopenSet
-from .ratterm import Poly, RatTerm
+from .padic import Box, ClopenSet, rep_key
 from .schwartz import SchwartzBruhat
 
 
@@ -54,14 +53,6 @@ def parse_point(src: str, line: int | None = None) -> tuple[Fraction, ...]:
     if not src:
         return ()
     return tuple(parse_rational(c, line) for c in src.split(","))
-
-
-def parse_box(src: str, p: int, line: int | None = None) -> Box:
-    m = re.fullmatch(_BOX, src.strip())
-    if not m:
-        raise SceneError(f"bad box literal {src!r}", line)
-    center = parse_point(m.group(1), line) if m.group(1) else ()
-    return Box(p, center, int(m.group(2)))
 
 
 def parse_clopen(src: str, p: int, dim: int, line: int | None = None) -> ClopenSet:
@@ -234,14 +225,14 @@ def _build_section(scene: Scene, kind: str, name: str, body: dict, values, linen
     elif kind == "distribution":
         scene.distributions[name] = _build_distribution(scene, body, lineno)
     elif kind == "split":
-        from .extend import test_split
+        from .extend import Split
 
         xval, ln = _get(body, "x", lineno)
         region = scene.clopens[xval] if xval in scene.clopens \
             else parse_clopen(xval, p, dim, ln)
         strata_val, ln2 = _get(body, "strata", lineno)
         strata = [scene.lookup("graphs", s.strip()) for s in strata_val.split(",")]
-        scene.splits[name] = test_split(region, strata)
+        scene.splits[name] = Split(region, strata)
     else:
         raise SceneError(f"unknown section kind {kind!r}", lineno)
 
@@ -281,9 +272,7 @@ def _build_distribution(scene: Scene, body: dict, lineno: int) -> Distribution:
         val, ln = _get(body, "base", lineno)
         base = scene.lookup("distributions", val)
         chart_val, ln2 = _get(body, "chart", lineno)
-        chart = parse_chart(chart_val, p, ln2)
-        d_val = body.get("fiber", ("1", lineno))[0]
-        return pushforward_chart(base, chart, int(d_val))
+        return pushforward_chart(base, parse_chart(chart_val, p, ln2))
     raise SceneError(f"unknown distribution kind {kind!r}", ln)
 
 
@@ -306,7 +295,7 @@ def scene_roundtrip_text(scene: Scene) -> str:
         f = scene.schwartz[name]
         out += [f"[schwartz {name}]", f"dim = {f.n}",
                 f"support_level = {f.m}", f"constancy_level = {f.k}"]
-        for rep in sorted(f.table, key=lambda r: tuple(map(str, r))):
+        for rep in sorted(f.table, key=rep_key):
             coords = ",".join(str(c) for c in rep)
             out.append(f"value ({coords}) = {f.table[rep].to_string()}")
         out.append("")

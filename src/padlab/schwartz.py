@@ -9,13 +9,11 @@ kept explicit.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .cyclotomic import ExactComplex
-from .padic import Box, ClopenSet, Rat, _as_fraction, coset_rep, valuation
+from .padic import Box, ClopenSet, Rat, _as_fraction, cell_volume, coset_rep, rep_key, valuation
 
 FOURIER_CELL_CAP = 500_000
 
@@ -40,16 +38,6 @@ def psi_eval(x: Rat, p: int) -> ExactComplex:
     """The standard additive character: conductor pZ_p, psi(1) = zeta_p."""
     s, a = psi_exponent(x, p)
     return ExactComplex.root(p, s, a)
-
-
-@dataclass(frozen=True)
-class Character:
-    """The canonical additive character of Q_p (fixed once p is fixed)."""
-
-    p: int
-
-    def __call__(self, x: Rat) -> ExactComplex:
-        return psi_eval(x, self.p)
 
 
 class SchwartzBruhat:
@@ -110,9 +98,6 @@ class SchwartzBruhat:
         return SchwartzBruhat(cs.p, cs.dim, m, k, table)
 
     # -- basic structure --------------------------------------------------
-
-    def support_box(self) -> Box:
-        return Box(self.p, tuple(Fraction(0) for _ in range(self.n)), -self.m)
 
     def is_zero(self) -> bool:
         return not self.table
@@ -255,11 +240,9 @@ class SchwartzBruhat:
     def integrate(self) -> ExactComplex:
         """Integral against Haar measure with vol(Z_p^n) = 1."""
         total = ExactComplex.zero(self.p)
-        cell = Fraction(1, self.p ** (self.n * self.k)) if self.k >= 0 \
-            else Fraction(self.p ** (-self.n * self.k))
         for val in self.table.values():
             total = total + val
-        return total * cell
+        return total * cell_volume(self.p, self.n, self.k)
 
     def fourier(self) -> "SchwartzBruhat":
         """Exact transform with kernel psi(x . y): levels (m,k) -> (k-1, m+1)."""
@@ -271,10 +254,10 @@ class SchwartzBruhat:
         cells = p ** (n * (self.m + self.k))
         if cells > FOURIER_CELL_CAP:
             raise OverflowError(f"transform needs {cells} output cells (cap {FOURIER_CELL_CAP})")
-        cell_vol = Fraction(1, p ** (n * self.k)) if self.k >= 0 else Fraction(p ** (-n * self.k))
+        cell_vol = cell_volume(p, n, self.k)
         out_box = Box(p, tuple(Fraction(0) for _ in range(n)), -m_out)
         table: dict = {}
-        items = sorted(self.table.items(), key=lambda kv: tuple(map(str, kv[0])))
+        items = sorted(self.table.items(), key=lambda kv: rep_key(kv[0]))
         for y_box in out_box.subboxes(k_out):
             y = y_box.center
             acc = ExactComplex.zero(p)
@@ -295,14 +278,3 @@ class SchwartzBruhat:
         return (f"SchwartzBruhat(p={self.p}, n={self.n}, m={self.m}, k={self.k}, "
                 f"{len(self.table)} cosets)")
 
-
-def integrate(phi: SchwartzBruhat) -> ExactComplex:
-    return phi.integrate()
-
-
-def fourier(phi: SchwartzBruhat) -> SchwartzBruhat:
-    return phi.fourier()
-
-
-def plancherel_pairing(phi: SchwartzBruhat, psi_fn: SchwartzBruhat) -> ExactComplex:
-    return phi.plancherel_pairing(psi_fn)

@@ -24,7 +24,7 @@ from padlab.dist import (
     haar_on,
     pushforward_chart,
 )
-from padlab.extend import boundary_restriction, extend_min_coord, min_coord_lift, regularize, test_split
+from padlab.extend import Split, boundary_restriction, extend_min_coord, min_coord_lift, regularize
 from padlab.graphs import GraphManifold, point_manifold
 from padlab.micro import (
     ConormalPresentation,
@@ -231,7 +231,7 @@ def _reg_scenes():
 
 def test_criterion_6_regularization_section():
     for X, strata, xi, p, n in _reg_scenes():
-        split = test_split(X, strata)
+        split = Split(X, strata)
         kappa = regularize(xi, split)
         rng = random.Random(31 * p + n)
         done = 0
@@ -385,7 +385,7 @@ def test_criterion_9_resolution_certificates():
         # pushforward mass consistency: exact on image cosets
         chart = charts[0]
         xi = haar_on(zp(p))
-        push = pushforward_chart(xi, chart, fiber_size(2, p))
+        push = pushforward_chart(xi, chart)
         one = SchwartzBruhat.indicator(zp(p))
         assert push.eval(one) == xi.eval(one)
         sq_unit = next(c for c in range(2, p * p) if c % p

@@ -192,7 +192,7 @@ def test_pushforward_mass_consistency():
     p = 5
     chart = PowerChart(p, (Fraction(1),), 2, prec=12)
     xi = haar_on(zp_set(p))
-    push = pushforward_chart(xi, chart, fiber_size(2, p))
+    push = pushforward_chart(xi, chart)
     # total mass: (x -> x^2)_* haar(1_{Z_p}) = haar(1) = 1
     one = SchwartzBruhat.indicator(zp_set(p))
     assert push.eval(one) == xi.eval(one)

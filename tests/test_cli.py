@@ -108,7 +108,7 @@ def test_cli_regularize_and_extend(tmp_path):
 def test_cli_pushforward_and_loci(tmp_path):
     code, text = run_cli(["pushforward", "--scene", str(SCENES / "basic1d.pad"),
                           "--dist", "xi", "--chart", "power N=2 lambda=(1)",
-                          "--fiber", "2", "--depth", "1"], tmp_path, "push.csv")
+                          "--depth", "1"], tmp_path, "push.csv")
     assert code == 0
     assert "box(0; 0),1," in text
     code, text = run_cli(["loci", "--scene", str(SCENES / "plane.pad"),

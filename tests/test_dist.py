@@ -4,10 +4,11 @@ from fractions import Fraction
 import pytest
 
 from padlab.cexp import parse
-from padlab.cyclotomic import ExactComplex
+from padlab.cyclotomic import ExactComplex, zeta
 from padlab.dist import (
     NonIntegrable,
     UnsupportedShape,
+    _PsiAverager,
     b_function,
     density_distribution,
     dirac,
@@ -102,6 +103,15 @@ def test_eval_mod_agrees_with_generic():
                 fast = xi.eval_mod(phi, w)
                 slow = xi.eval(phi.modulate(w))
                 assert fast == slow
+    # the graph measure of t -> (t, t^2) over Z_p, on the plane; the test
+    # functions fill half of Z_p^2 at level 2, so most pairings are nonzero
+    rng = random.Random(6)
+    for p in (2, 3):
+        g = graph_measure(GraphManifold(p, zp(p), (RatTerm.var(0) ** 2,)))
+        for _ in range(5):
+            phi = random_sb(rng, p, 2, 0, 2, entries=p**4 // 2)
+            w = tuple(Fraction(rng.randint(-8, 8), p ** rng.randint(0, 2)) for _ in range(2))
+            assert g.eval_mod(phi, w) == g.eval(phi.modulate(w))
 
 
 # -- graph measures ----------------------------------------------------------
@@ -283,6 +293,21 @@ def test_density_linearity():
         g = random_sb(rng, p, 1, 1, 1)
         c = ExactComplex.gaussian(1, 2, p)
         assert mu.eval(f.scale(c) + g) == c * mu.eval(f) + mu.eval(g)
+
+
+def test_psi_averager_cache_holds_within_one_cell():
+    # one shallow coordinate with kappa = 1 on 1 + 9Z_3: the same w = -1 with
+    # a* = 1/3 and a* = 2/3 (two cells) averages to different roots of unity
+    coords = [("shallow", 1, 2)]
+    first = _PsiAverager(3, coords).value(-1, Fraction(1, 3))
+    second = _PsiAverager(3, coords).value(-1, Fraction(2, 3))
+    assert first == zeta(3, 2, 1)
+    assert second == zeta(3, 2, 2)
+    # the cache is keyed by w alone, so one averager shared across the two
+    # cells would answer the second with the first cell's value
+    shared = _PsiAverager(3, coords)
+    shared.value(-1, Fraction(1, 3))
+    assert shared.value(-1, Fraction(2, 3)) == first != second
 
 
 # -- ball transform -----------------------------------------------------------

@@ -8,13 +8,13 @@ from padlab.cexp import parse
 from padlab.cyclotomic import ExactComplex
 from padlab.dist import density_distribution, dirac, graph_pullback, haar_on
 from padlab.extend import (
+    GraphSection,
     MinCoordMap,
+    Split,
     boundary_restriction,
     extend_min_coord,
-    graph_section_nu,
     min_coord_lift,
     regularize,
-    test_split,
 )
 from padlab.graphs import GraphManifold, point_manifold
 from padlab.padic import Box, ClopenSet, valuation
@@ -43,7 +43,7 @@ def random_sb(rng, p, n, m, k, entries=5):
 def test_graph_section_full_box():
     p = 3
     line = GraphManifold(p, zp(p), (RatTerm.const(0),))
-    nu = graph_section_nu(line, zp(p, 2))
+    nu = GraphSection(line, zp(p, 2))
     f = SchwartzBruhat.indicator(zp(p))  # 1 on the base
     lifted = nu.apply(f)
     assert lifted == SchwartzBruhat.indicator(zp(p, 2))
@@ -56,7 +56,7 @@ def test_graph_section_restriction_identity():
     rng = random.Random(4)
     for maps in ((RatTerm.const(0),), (RatTerm.var(0) ** 2,)):
         W = GraphManifold(p, zp(p), maps)
-        nu = graph_section_nu(W, zp(p, 2))
+        nu = GraphSection(W, zp(p, 2))
         for _ in range(8):
             f = random_sb(rng, p, 1, 0, rng.randint(0, 3))
             lifted = nu.apply(f)
@@ -69,7 +69,7 @@ def test_graph_section_restriction_identity():
 def test_graph_section_linear():
     p = 2
     W = GraphManifold(p, zp(p), (RatTerm.var(0),))
-    nu = graph_section_nu(W, zp(p, 2))
+    nu = GraphSection(W, zp(p, 2))
     rng = random.Random(6)
     f = random_sb(rng, p, 1, 0, 2)
     g = random_sb(rng, p, 1, 0, 1)
@@ -82,7 +82,7 @@ def test_graph_section_avoids_later_strata():
     # section over the line x2 = 0 must avoid the parallel line x2 = 1
     line0 = GraphManifold(p, zp(p), (RatTerm.const(0),))
     line1 = GraphManifold(p, zp(p), (RatTerm.const(1),))
-    nu = graph_section_nu(line0, zp(p, 2), avoid=[line1])
+    nu = GraphSection(line0, zp(p, 2), avoid=[line1])
     f = SchwartzBruhat.indicator(zp(p))
     lifted = nu.apply(f)
     # the tube misses the avoided line
@@ -116,7 +116,7 @@ def scene_two_lines(p):
 def test_split_point_example():
     p = 3
     X, strata = scene_point(p)
-    split = test_split(X, strata)
+    split = Split(X, strata)
     # phi~ = (phi - phi(0) 1_{B_0})|_U with B_0 = Z_p, so 1_{Z_p} splits to 0
     one = SchwartzBruhat.indicator(X)
     assert split.apply(one).is_zero()
@@ -129,7 +129,7 @@ def test_split_identity_on_u():
     rng = random.Random(11)
     for p, scene in ((3, scene_parabola), (2, scene_two_lines)):
         X, strata = scene(p)
-        split = test_split(X, strata)
+        split = Split(X, strata)
         count = 0
         while count < 12:
             phi = random_sb(rng, p, 2, 0, rng.randint(1, 2), entries=3)
@@ -144,7 +144,7 @@ def test_split_clears_strata():
     for p, scene in ((3, scene_parabola), (3, scene_two_lines), (5, scene_point)):
         X, strata = scene(p)
         n = X.dim
-        split = test_split(X, strata)
+        split = Split(X, strata)
         for _ in range(6):
             phi = random_sb(rng, p, n, 0, rng.randint(0, 2), entries=4)
             out = split.apply(phi)
@@ -158,7 +158,7 @@ def test_split_clears_strata():
 def test_regularize_haar_punctured_line():
     p = 3
     X, strata = scene_point(p)
-    split = test_split(X, strata)
+    split = Split(X, strata)
     xi = haar_on(X)  # Haar on U extends by the same integrals off the point
     kappa = regularize(xi, split)
     # kappa(xi)(1_{Z_p}) = xi(phi~) = xi(0) = 0
@@ -171,7 +171,7 @@ def test_regularize_haar_punctured_line():
 def test_regularize_density_on_punctured_line():
     p = 3
     X, strata = scene_point(p)
-    split = test_split(X, strata)
+    split = Split(X, strata)
     mu = density_distribution(parse("psi(1/x1)", p), X)
     kappa = regularize(mu, split)
     f = SchwartzBruhat.indicator_box(Box(p, (Fraction(1),), 1))
@@ -184,7 +184,7 @@ def test_regularize_density_on_punctured_line():
 def test_regularize_linearity():
     p = 2
     X, strata = scene_two_lines(p)
-    split = test_split(X, strata)
+    split = Split(X, strata)
     xi = haar_on(X)
     kappa = regularize(xi, split)
     rng = random.Random(3)

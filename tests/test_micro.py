@@ -10,7 +10,6 @@ from padlab.micro import (
     ConormalPresentation,
     ScanParams,
     closed_form_wf_cells,
-    conormal_contains,
     holonomicity_check,
     smooth_locus_scan,
     sphere_direction_boxes,
@@ -142,16 +141,16 @@ def test_conormal_contains_examples():
     p = 3
     parab = ConormalPresentation(GraphManifold(p, zp(p), (RatTerm.var(0) ** 2,)))
     t = Fraction(2)
-    assert conormal_contains(parab, (t, t * t), (-2 * t, 1))
-    assert not conormal_contains(parab, (t, t * t), (1, 0))
-    assert conormal_contains(parab, (0, 0), (0, 5))
+    assert parab.contains((t, t * t), (-2 * t, 1))
+    assert not parab.contains((t, t * t), (1, 0))
+    assert parab.contains((0, 0), (0, 5))
 
     line = ConormalPresentation(GraphManifold(p, zp(p), (RatTerm.const(0),)))
-    assert conormal_contains(line, (t, 0), (0, 1))
-    assert not conormal_contains(line, (t, 0), (1, 0))
+    assert line.contains((t, 0), (0, 1))
+    assert not line.contains((t, 0), (1, 0))
 
     with pytest.raises(ValueError):
-        conormal_contains(parab, (1, 2), (0, 1))
+        parab.contains((1, 2), (0, 1))
 
 
 def test_holonomicity_dirac():

@@ -9,9 +9,7 @@ from hypothesis import strategies as st
 from padlab.padic import (
     Box,
     ClopenSet,
-    clopen_algebra,
     coset_rep,
-    enumerate_cosets,
     norm,
     refine_partition,
     tuple_valuation,
@@ -79,14 +77,14 @@ def test_coset_rep_is_canonical(num, den, p, k):
 
 def test_enumerate_cosets_examples():
     b = Box(3, (Fraction(0),), 0)
-    out = enumerate_cosets(b, 1)
+    out = b.subboxes(1)
     assert sorted(c.center[0] for c in out) == [0, 1, 2]
 
     b2 = Box(2, (Fraction(0), Fraction(0)), 0)
-    assert len(enumerate_cosets(b2, 1)) == 4
+    assert len(b2.subboxes(1)) == 4
 
     b3 = Box(3, (Fraction(1, 3),), -1)
-    out3 = enumerate_cosets(b3, 0)
+    out3 = b3.subboxes(0)
     assert len(out3) == 3
     assert sorted(c.center[0] for c in out3) == [Fraction(0), Fraction(1, 3), Fraction(2, 3)]
 
@@ -99,7 +97,7 @@ def test_enumerate_cosets_tile_exactly(p):
         r = rng.randint(-2, 2)
         k = r + rng.randint(0, 2)
         b = Box(p, (c,), r)
-        subs = enumerate_cosets(b, k)
+        subs = b.subboxes(k)
         assert len(subs) == p ** (k - r)
         whole = ClopenSet.from_boxes(p, 1, subs)
         assert whole == ClopenSet.single(b)
@@ -121,17 +119,17 @@ def test_clopen_algebra_examples():
     a = ClopenSet.single(Box(p, (Fraction(0),), 1))
     b = ClopenSet.single(Box(p, (Fraction(1),), 1))
     zp = ClopenSet.single(Box(p, (Fraction(0),), 0))
-    assert clopen_algebra(a, b, "union") == zp
-    assert clopen_algebra(zp, zp, "diff").is_empty()
+    assert a.union(b) == zp
+    assert zp.difference(zp).is_empty()
     fine = ClopenSet.single(Box(p, (Fraction(0),), 2))
-    assert clopen_algebra(zp, fine, "intersect") == fine
+    assert zp.intersect(fine) == fine
 
 
 def test_clopen_mismatch_raises():
     a = ClopenSet.single(Box(2, (Fraction(0),), 0))
     b = ClopenSet.single(Box(3, (Fraction(0),), 0))
     with pytest.raises(ValueError):
-        clopen_algebra(a, b, "union")
+        a.union(b)
 
 
 def random_clopen(rng, p, dim, max_level=3, pieces=3):
