@@ -153,8 +153,45 @@ def _split_sections(text: str):
     return header, sections
 
 
+# keys each section kind reads; `value (...)` lines count as the key "value"
+_KEYS = {
+    "clopen": {"set", "dim"},
+    "schwartz": {"dim", "support_level", "constancy_level", "value"},
+    "cexp": {"expr"},
+    "graph": {"base", "basedim", "map"},
+    "split": {"x", "strata"},
+}
+_DISTRIBUTION_KEYS = {
+    "dirac": {"kind", "point"},
+    "haar": {"kind", "set"},
+    "graph": {"kind", "graph"},
+    "density": {"kind", "expr", "domain"},
+    "loci": {"kind", "expr", "strata"},
+    "pushforward": {"kind", "base", "chart"},
+}
+
+
+def _check_keys(kind: str, body: dict, values: list):
+    """Reject a key the section does not read; unknown kinds fail later, in the builder."""
+    if kind == "distribution":
+        allowed = _DISTRIBUTION_KEYS.get(body.get("kind", ("",))[0])
+    else:
+        allowed = _KEYS.get(kind)
+    if allowed is None:
+        return
+    found = [(body[key][1], key) for key in body.keys() - allowed]
+    if values and "value" not in allowed:
+        found.append((values[0][2], "value"))
+    if found:
+        ln, key = min(found)
+        raise SceneError(f"unknown key {key!r} in a {kind} section", ln)
+
+
 def load_scene(text: str) -> Scene:
     header, sections = _split_sections(text)
+    for key, _, _, ln in header:
+        if key not in ("prime", "dim"):
+            raise SceneError(f"unknown header key {key!r}", ln)
     kv = {k: v for k, _, v, _ in header}
     if "prime" not in kv or "dim" not in kv:
         raise SceneError("scene header must set prime and dim")
@@ -171,10 +208,13 @@ def load_scene(text: str) -> Scene:
         for key, arg, val, ln in entries:
             if key == "value":
                 values.append((arg, val, ln))
+            elif arg is not None:
+                raise SceneError(f"only value lines take a coordinate tuple, not {key!r}", ln)
             elif key in body:
                 raise SceneError(f"duplicate key {key!r}", ln)
             else:
                 body[key] = (val, ln)
+        _check_keys(kind, body, values)
         try:
             _build_section(scene, kind, name, body, values, lineno)
         except SceneError:

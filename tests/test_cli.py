@@ -42,6 +42,23 @@ def test_scene_errors():
         load_scene("prime = 3\ndim = 1\n[widget W]\nx = 1\n")
 
 
+HEAD = "prime = 3\ndim = 1\n\n"
+
+
+@pytest.mark.parametrize("text,line", [
+    (HEAD + "[distribution d]\nkind = dirac\npoint = (1)\nfiber = 2\n", 7),  # a removed key
+    (HEAD + "[schwartz f]\nsupport_level = 0\nconstancy_levle = 1\n", 6),    # a misspelt key
+    (HEAD + "[distribution h]\nkind = haar\nset = box(0; 0)\npoint = (0)\n", 7),  # another kind's
+    (HEAD + "[clopen A]\nset = box(0; 0)\nvalue (0) = 1\n", 6),  # value lines belong to [schwartz]
+    (HEAD + "[clopen A]\nset (7) = box(0; 0)\n", 5),  # a coordinate tuple on a plain key
+    ("prime = 3\ndim = 1\nprimes = 5\n", 3),  # an unknown header key
+])
+def test_scene_rejects_unknown_keys(text, line):
+    with pytest.raises(SceneError) as err:
+        load_scene(text)
+    assert err.value.line == line
+
+
 def test_cli_ft_deterministic(tmp_path):
     args = ["ft", "--scene", str(SCENES / "basic1d.pad"), "--name", "f"]
     code1, out1 = run_cli(args, tmp_path, "a.csv")

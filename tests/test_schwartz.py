@@ -3,10 +3,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from padlab.cyclotomic import ExactComplex
-from padlab.padic import Box, ClopenSet, valuation
-from padlab.schwartz import SchwartzBruhat, psi_eval, psi_exponent
+from padlab.cyclotomic import ExactComplex, zeta
+from padlab.padic import Box, ClopenSet, cell_volume, valuation
+from padlab.schwartz import FOURIER_CELL_CAP, SchwartzBruhat, psi_eval, psi_exponent
 
 PRIMES = [2, 3, 5, 7]
 
@@ -14,7 +16,7 @@ PRIMES = [2, 3, 5, 7]
 def brute_fourier_at(phi: SchwartzBruhat, y, depth=2) -> ExactComplex:
     """Independent oracle: plain Riemann sum at a uniformly fine level."""
     p, n = phi.p, phi.n
-    fine = max(phi.k, 1 - min((valuation(yi, p) for yi in y if yi != 0), default=0)) + depth
+    fine = max([phi.k] + [1 - valuation(yi, p) for yi in y if yi != 0]) + depth
     f = phi.refine(k_new=fine)
     total = ExactComplex.zero(p)
     for rep, val in f.table.items():
@@ -182,3 +184,110 @@ def test_evaluate_membership():
     assert phi.evaluate((Fraction(3),)).is_zero()
     with pytest.raises(ValueError):
         phi.evaluate((Fraction(1), Fraction(2)))
+
+
+def test_fourier_cell_cap():
+    phi = SchwartzBruhat(3, 2, 0, 7, {(Fraction(0), Fraction(0)): 1})
+    assert 3 ** (2 * 7) > FOURIER_CELL_CAP
+    with pytest.raises(OverflowError):
+        phi.fourier()
+
+
+# -- properties of the fast paths against plain oracles ----------------------
+
+SPACES = [(p, n) for p in (2, 3, 5) for n in (1, 2)]
+MAX_CELLS = 27  # largest grid (Z/p^(m+k))^n the properties draw
+
+
+def _max_span(p, n):
+    """The largest m + k whose grid has at most MAX_CELLS cells."""
+    s = 0
+    while p ** (n * (s + 1)) <= MAX_CELLS:
+        s += 1
+    return s
+
+
+def _grid(p, n, m, k):
+    """Canonical level-k reps of p^-m Z_p^n: j p^-m with j in (Z/p^(m+k))^n."""
+    step = Fraction(p) ** -m
+    return [tuple(j * step for j in js) for js in itertools.product(range(p ** (m + k)), repeat=n)]
+
+
+def values(p):
+    """Gaussian rationals plus a rational multiple of a root of unity of level 0 to 3."""
+    coeff = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
+    root = st.builds(lambda r, a: zeta(p, r, a), st.integers(0, 3), st.integers(0, 26))
+    return st.builds(lambda re, im, c, z: ExactComplex.gaussian(re, im, p) + z * c,
+                     coeff, st.integers(-2, 2), coeff, root)
+
+
+@st.composite
+def functions(draw, p, n, k=None):
+    """Up to four cells at levels with m + k in [0, _max_span]; m < 0 allowed."""
+    span = draw(st.integers(0, _max_span(p, n)))
+    if k is None:
+        k = span - draw(st.integers(-1, 2))
+    m = span - k
+    reps = _grid(p, n, m, k)
+    cells = draw(st.lists(st.sampled_from(reps), max_size=4, unique=True))
+    return SchwartzBruhat(p, n, m, k, {rep: draw(values(p)) for rep in cells})
+
+
+@st.composite
+def pairs(draw, p, n):
+    """Two functions whose constancy levels differ by dk with p^(n |dk|) <= 125,
+    so the oracle's re-tiling stays small."""
+    f = draw(functions(p, n))
+    dk = max(d for d in range(4) if p ** (n * d) <= 125)
+    return f, draw(functions(p, n, k=f.k + draw(st.integers(-dk, dk))))
+
+
+def _assert_transform_matches_brute(phi):
+    hat = phi.fourier()
+    assert (hat.m, hat.k) == (phi.k - 1, phi.m + 1)
+    for y in _grid(phi.p, phi.n, hat.m, hat.k):
+        assert hat.evaluate(y) == brute_fourier_at(phi, y, depth=1), y
+
+
+@pytest.mark.parametrize("p,n", SPACES)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_fourier_property_every_cell(p, n, data):
+    _assert_transform_matches_brute(data.draw(functions(p, n)))
+
+
+@pytest.mark.parametrize("p,n,m,k,value", [
+    (3, 1, 1, -1, ExactComplex.gaussian(2, 1, 3)),        # m + k = 0: one cell each side
+    (5, 2, 0, 0, Fraction(1, 3)),                          # m + k = 0 at the origin
+    (3, 1, -1, 2, zeta(3, 3, 4)),                          # m < 0, value level 3 > m + k
+    (2, 2, -1, 2, ExactComplex.i(2) + Fraction(1, 2)),     # m < 0, i at p = 2
+    (2, 1, 1, 1, zeta(2, 3, 3) * Fraction(2, 3)),          # value level 3 > m + k = 2
+])
+def test_fourier_corner_cases(p, n, m, k, value):
+    reps = _grid(p, n, m, k)
+    table = {reps[-1]: ExactComplex.one(p), reps[0]: value}  # one cell when m + k = 0
+    _assert_transform_matches_brute(SchwartzBruhat(p, n, m, k, table))
+    _assert_transform_matches_brute(SchwartzBruhat.zero(p, n, m, k))
+
+
+def _refined(f, k):
+    """f's table re-tiled to level k, one Box at a time."""
+    return {sub.center: val for rep, val in f.table.items()
+            for sub in Box(f.p, rep, f.k).subboxes(k)}
+
+
+@pytest.mark.parametrize("p,n", SPACES)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_products_property_against_common_levels(p, n, data):
+    f, g = data.draw(pairs(p, n))
+    m, k = max(f.m, g.m), max(f.k, g.k)
+    ft, gt = _refined(f, k), _refined(g, k)
+    common = ft.keys() & gt.keys()
+    prod = f.pointwise_mul(g)
+    assert (prod.m, prod.k) == (m, k)
+    assert prod == SchwartzBruhat(p, n, m, k, {rep: ft[rep] * gt[rep] for rep in common})
+    pairing = ExactComplex.zero(p)
+    for rep in common:
+        pairing = pairing + ft[rep] * gt[rep].conjugate()
+    assert f.plancherel_pairing(g) == pairing * cell_volume(p, n, k)
