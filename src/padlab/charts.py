@@ -136,16 +136,8 @@ class PowerChart:
     def n(self) -> int:
         return len(self.lam)
 
-    def domain_box(self) -> Box:
-        return Box(self.p, tuple(Fraction(0) for _ in range(self.n)), 0)
-
     def apply(self, x: Sequence[Rat]) -> tuple[Fraction, ...]:
         return tuple(l * _as_fraction(c) ** self.N for l, c in zip(self.lam, x))
-
-    def pullback_level(self, k: int) -> int:
-        # p-integral polynomial components move level-l cosets into level-l
-        # cosets, so level k suffices for a level-k target
-        return max(k, 0)
 
     def fiber_count(self) -> int:
         return fiber_size(self.N, self.p) ** self.n
@@ -243,9 +235,6 @@ class HenselChart:
     def n(self) -> int:
         return self.u.nvars
 
-    def domain_box(self) -> Box:
-        return Box(self.p, tuple(Fraction(0) for _ in range(self.n)), 0)
-
     def forward(self, x: Sequence[Rat]) -> tuple[Fraction, ...]:
         x = tuple(_as_fraction(c) for c in x)
         v = self.root.eval(x)
@@ -267,9 +256,6 @@ class HenselChart:
         if err != 0 and valuation(err, self.p) < self.prec:
             raise ArithmeticError("fixed-point inverse failed to certify")
         return tuple(coset_rep(c, self.p, self.prec) for c in x)
-
-    def pullback_level(self, k: int) -> int:
-        return max(k, 0)
 
     def fiber_count(self) -> int:
         return 1

@@ -22,7 +22,7 @@ from .extend import extend_min_coord, regularize
 from .micro import ScanParams, smooth_locus_scan, wf_scan
 from .padic import Box, ClopenSet, refine_partition, rep_key, urysohn_clopen, valuation
 from .ratterm import NotInDomain
-from .scene import SceneError, load_scene, parse_chart, parse_clopen, parse_point
+from .scene import SceneError, load_scene, parse_chart, parse_point, resolve_clopen
 from .schwartz import SchwartzBruhat
 
 USAGE_ERROR, SCENE_ERROR, EVAL_ERROR, CHECK_ERROR = 1, 2, 3, 4
@@ -105,8 +105,7 @@ def cmd_bfun(args) -> int:
 def cmd_wf(args) -> int:
     scene = _load(args.scene)
     xi = scene.lookup("distributions", args.dist)
-    region = parse_clopen(args.region, scene.p, xi.n) if args.region not in scene.clopens \
-        else scene.clopens[args.region]
+    region = resolve_clopen(scene, args.region, xi.n)
     params = ScanParams(k_x=args.kx, k_y=args.ky, k_test=args.ktest,
                         n_min=args.nmin, n_max=args.nmax)
     report = wf_scan(xi, region, params)
@@ -130,8 +129,7 @@ def cmd_wf(args) -> int:
 def cmd_smoothlocus(args) -> int:
     scene = _load(args.scene)
     xi = scene.lookup("distributions", args.dist)
-    region = parse_clopen(args.region, scene.p, xi.n) if args.region not in scene.clopens \
-        else scene.clopens[args.region]
+    region = resolve_clopen(scene, args.region, xi.n)
     flags = smooth_locus_scan(xi, region, args.depth, scan_level=args.level)
     lines = ["rep,verdict,gamma_exact"]
     for rep in sorted(flags, key=rep_key):

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 from .cexp import Atom, CexpExpr
 from .cyclotomic import ExactComplex
-from .graphs import GraphManifold
+from .graphs import GraphManifold, point_manifold
 from .padic import Box, ClopenSet, Rat, _as_fraction, cell_volume, norm, rep_key, valuation
 from .ratterm import RatTerm
 from .schwartz import SchwartzBruhat, psi_eval
@@ -32,26 +32,17 @@ class UnsupportedShape(Exception):
     """The density is outside the exactly integrable catalog."""
 
 
-# -- wave-front metadata in closed form ----------------------------------
-
-
-@dataclass(frozen=True)
-class ClosedFormWF:
-    """kind: "empty" (smooth measure), "point" (all covectors over a point),
-    or "conormal" (conormal bundle of a graph manifold)."""
-
-    kind: str
-    point: tuple[Fraction, ...] | None = None
-    manifold: GraphManifold | None = None
-
-
 @dataclass
 class Distribution:
     """Linear functional on Schwartz-Bruhat functions, exactly evaluable.
 
     eval_mod_fn, when given, computes xi(phi * psi(<w, .>)) directly; it
     must agree with eval_fn(phi.modulate(w)).  domain is the clopen set
-    that carries xi, if any, and wf its closed-form wave front set.
+    that carries xi, if any.  wf lists the graph manifolds whose conormal
+    bundles make up the closed-form wave front set: () for a smooth
+    measure, (W,) for the graph measure of W (a point mass is the graph
+    measure of a point, whose conormal is every covector there), and None
+    when there is no closed form.
     """
 
     p: int
@@ -59,7 +50,7 @@ class Distribution:
     eval_fn: Callable[[SchwartzBruhat], ExactComplex]
     eval_mod_fn: Callable[[SchwartzBruhat, Sequence[Rat]], ExactComplex] | None = None
     domain: ClopenSet | None = None
-    wf: ClosedFormWF | None = None
+    wf: tuple[GraphManifold, ...] | None = None
 
     def eval(self, phi: SchwartzBruhat) -> ExactComplex:
         if phi.p != self.p or phi.n != self.n:
@@ -77,16 +68,8 @@ class Distribution:
 
 
 def dirac(p: int, a: Sequence[Rat]) -> Distribution:
-    a = tuple(_as_fraction(c) for c in a)
-    n = len(a)
-
-    def ev(phi: SchwartzBruhat) -> ExactComplex:
-        return phi.evaluate(a)
-
-    def ev_mod(phi: SchwartzBruhat, w) -> ExactComplex:
-        return phi.evaluate(a) * psi_eval(sum(_as_fraction(wi) * ai for wi, ai in zip(w, a)), p)
-
-    return Distribution(p, n, ev, ev_mod, wf=ClosedFormWF("point", point=a))
+    """Point mass at a: the graph measure of the point manifold {a}."""
+    return graph_measure(point_manifold(p, a))
 
 
 def haar_on(X: ClopenSet) -> Distribution:
@@ -108,35 +91,40 @@ def haar_on(X: ClopenSet) -> Distribution:
             total = total + val * psi_eval(sum(wi * ri for wi, ri in zip(w, rep)), p)
         return total * cell_volume(p, n, k)
 
-    return Distribution(p, n, ev, ev_mod, domain=X, wf=ClosedFormWF("empty"))
+    return Distribution(p, n, ev, ev_mod, domain=X, wf=())
+
+
+def _graph_cells(W: GraphManifold, phi: SchwartzBruhat, level: int) -> list:
+    """(t, phi(t, gamma(t))) over the level-`level` base cosets under the
+    t-projection of supp phi, nonzero values only, in table order."""
+    p, d = W.p, W.d
+    seen = set()
+    out = []
+    for rep in phi.table:
+        # level-k boxes of distinct projections are disjoint
+        if rep[:d] in seen:
+            continue
+        seen.add(rep[:d])
+        tbox = ClopenSet.single(Box(p, rep[:d], phi.k)).intersect(W.base)
+        for cell in tbox.cosets(max(level, tbox.max_level())):
+            val = phi.evaluate(W.point(cell.center))
+            if not val.is_zero():
+                out.append((cell.center, val))
+    return out
 
 
 def graph_measure(W: GraphManifold) -> Distribution:
     """Pushforward of Haar measure on the base to the graph."""
     p, n = W.p, W.n
 
-    def support_cells(phi: SchwartzBruhat, level: int):
-        """(t_rep, phi value) over base cosets under the support of phi."""
-        seen = set()
-        out = []
-        for rep in phi.table:
-            tbox = ClopenSet.single(Box(p, rep[: W.d], phi.k)).intersect(W.base)
-            for cell in tbox.cosets(max(level, tbox.max_level())):
-                t = cell.center
-                if t in seen:
-                    continue
-                seen.add(t)
-                val = phi.evaluate(W.point(t))
-                if not val.is_zero():
-                    out.append((t, val))
-        return out
-
     def pulled(phi: SchwartzBruhat, w=None):
         """xi(phi), or xi(phi * psi(<w, .>)) when w is given."""
         extra = W.lipschitz_extra()
         level0 = max(phi.k + extra, W.base.max_level())
-        cells = support_cells(phi, level0)
+        cells = _graph_cells(W, phi, level0)
         total = ExactComplex.zero(p)
+        if not cells:
+            return total
         if w is None:
             for _, val in cells:
                 total = total + val
@@ -152,7 +140,7 @@ def graph_measure(W: GraphManifold) -> Distribution:
             total = total + val * acc
         return total * cell_volume(p, W.d, level)
 
-    return Distribution(p, n, pulled, pulled, wf=ClosedFormWF("conormal", manifold=W))
+    return Distribution(p, n, pulled, pulled, wf=(W,))
 
 
 # -- polynomial-times-geometric tails --------------------------------------
@@ -512,20 +500,21 @@ def b_function(xi: Distribution, x: Sequence[Rat], r: Rat) -> ExactComplex:
 def pushforward_chart(xi: Distribution, chart) -> Distribution:
     """(chart)_* xi: evaluates phi -> xi(phi ∘ chart).
 
-    The chart must expose apply(x), pullback_level(k) and domain_box().
+    The chart must expose apply(x) on Z_p^n and map every level-l coset of
+    Z_p^n (l >= 0) into one level-l coset, so phi ∘ chart is constant on
+    the level-max(k, 0) cosets when phi is constant on level-k cosets.
     """
     p, n = xi.p, xi.n
+    dom = Box(p, tuple(Fraction(0) for _ in range(n)), 0)
 
     def ev(phi: SchwartzBruhat) -> ExactComplex:
-        level = max(chart.pullback_level(phi.k), chart.domain_box().level)
-        dom = chart.domain_box()
+        level = max(phi.k, 0)
         table = {}
         for cell in dom.subboxes(level):
             val = phi.evaluate(chart.apply(cell.center))
             if not val.is_zero():
                 table[cell.center] = val
-        pulled = SchwartzBruhat(p, n, max(0, -dom.level), level, table)
-        return xi.eval(pulled)
+        return xi.eval(SchwartzBruhat(p, n, 0, level, table))
 
     return Distribution(p, n, ev)
 
@@ -537,15 +526,9 @@ def graph_pullback(W: GraphManifold, phi: SchwartzBruhat) -> SchwartzBruhat:
     """t -> phi(t, gamma(t)) as an exact Schwartz-Bruhat function on the base."""
     p = W.p
     level = max(phi.k + W.lipschitz_extra(), W.base.max_level())
-    m_base = max([0, -level] + [-b.level for b in W.base.boxes])
-    table = {}
-    for cell in W.base.cosets(level):
-        val = phi.evaluate(W.point(cell.center))
-        if not val.is_zero():
-            table[cell.center] = val
-            for c in cell.center:
-                if c != 0:
-                    m_base = max(m_base, -min(0, valuation(c, p)))
+    table = dict(_graph_cells(W, phi, level))
+    m_base = max([0, -level] + [-b.level for b in W.base.boxes]
+                 + [-valuation(c, p) for t in table for c in t if c != 0])
     return SchwartzBruhat(p, W.d, m_base, level, table)
 
 

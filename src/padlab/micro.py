@@ -270,24 +270,11 @@ def holonomicity_check(report: ScanReport, candidates: Sequence[ConormalPresenta
 
 def closed_form_wf_cells(xi: Distribution, region: ClopenSet,
                          params: ScanParams) -> list:
-    """Grid cells meeting the catalog's closed-form wave front set."""
-    p, n = xi.p, xi.n
-    wf = xi.wf
-    if wf is None:
+    """Grid cells meeting the catalog's closed-form wave front set: the
+    union of the conormal bundles of the manifolds in xi.wf."""
+    if xi.wf is None:
         raise ValueError("distribution carries no closed-form wave front metadata")
     level = max(params.k_x, region.max_level())
-    dirs = sphere_direction_boxes(p, n, params.k_y)
-    out = []
-    if wf.kind == "empty":
-        return out
-    for c in region.cosets(level):
-        for d in dirs:
-            if wf.kind == "point":
-                if c.contains_point(wf.point):
-                    out.append((c.center, d.center))
-            elif wf.kind == "conormal":
-                if _cell_covered(ConormalPresentation(wf.manifold), c, d):
-                    out.append((c.center, d.center))
-            else:
-                raise ValueError(f"unknown closed form {wf.kind!r}")
-    return sorted(out)
+    dirs = sphere_direction_boxes(xi.p, xi.n, params.k_y)
+    return sorted((c.center, d.center) for c in region.cosets(level) for d in dirs
+                  if any(_cell_covered(ConormalPresentation(W), c, d) for W in xi.wf))

@@ -11,7 +11,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .cexp import CexpSyntaxError, parse as parse_cexp, parse_ratterm
+from .cexp import CexpExpr, CexpSyntaxError, parse as parse_cexp, parse_ratterm
 from .charts import HenselChart, PowerChart
 from .cyclotomic import ExactComplex
 from .dist import (
@@ -71,6 +71,20 @@ def parse_clopen(src: str, p: int, dim: int, line: int | None = None) -> ClopenS
         if rest.startswith(";"):
             rest = rest[1:].lstrip()
     return ClopenSet.from_boxes(p, dim, boxes)
+
+
+def resolve_clopen(scene: Scene, src: str, dim: int, line: int | None = None) -> ClopenSet:
+    """The scene's clopen set named src, or src read as inline box(...) text."""
+    if src in scene.clopens:
+        return scene.clopens[src]
+    return parse_clopen(src, scene.p, dim, line)
+
+
+def resolve_cexp(scene: Scene, src: str) -> CexpExpr:
+    """The scene's expression named src, or src read as an inline expression."""
+    if src in scene.cexprs:
+        return scene.cexprs[src]
+    return parse_cexp(src, scene.p)
 
 
 def parse_value(src: str, p: int, line: int | None = None) -> ExactComplex:
@@ -268,8 +282,7 @@ def _build_section(scene: Scene, kind: str, name: str, body: dict, values, linen
         from .extend import Split
 
         xval, ln = _get(body, "x", lineno)
-        region = scene.clopens[xval] if xval in scene.clopens \
-            else parse_clopen(xval, p, dim, ln)
+        region = resolve_clopen(scene, xval, dim, ln)
         strata_val, ln2 = _get(body, "strata", lineno)
         strata = [scene.lookup("graphs", s.strip()) for s in strata_val.split(",")]
         scene.splits[name] = Split(region, strata)
@@ -285,26 +298,18 @@ def _build_distribution(scene: Scene, body: dict, lineno: int) -> Distribution:
         return dirac(p, parse_point(val, ln))
     if kind == "haar":
         val, ln = _get(body, "set", lineno)
-        if val in scene.clopens:
-            region = scene.clopens[val]
-        else:
-            region = parse_clopen(val, p, scene.dim, ln)
-        return haar_on(region)
+        return haar_on(resolve_clopen(scene, val, scene.dim, ln))
     if kind == "graph":
         val, ln = _get(body, "graph", lineno)
         return graph_measure(scene.lookup("graphs", val))
     if kind == "density":
         val, ln = _get(body, "expr", lineno)
-        expr = scene.cexprs[val] if val in scene.cexprs else parse_cexp(val, p)
+        expr = resolve_cexp(scene, val)
         dom_val, ln2 = _get(body, "domain", lineno)
-        if dom_val in scene.clopens:
-            domain = scene.clopens[dom_val]
-        else:
-            domain = parse_clopen(dom_val, p, scene.dim, ln2)
-        return density_distribution(expr, domain)
+        return density_distribution(expr, resolve_clopen(scene, dom_val, scene.dim, ln2))
     if kind == "loci":
         val, ln = _get(body, "expr", lineno)
-        expr = scene.cexprs[val] if val in scene.cexprs else parse_cexp(val, p)
+        expr = resolve_cexp(scene, val)
         strata_val, ln2 = _get(body, "strata", lineno)
         strata = [scene.lookup("graphs", s.strip()) for s in strata_val.split(",")]
         return loci_distribution(expr, strata)

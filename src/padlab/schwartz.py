@@ -127,13 +127,6 @@ class SchwartzBruhat:
                 table[sub.center] = val
         return SchwartzBruhat(self.p, self.n, m_new, k_new, table)
 
-    @staticmethod
-    def common(f: "SchwartzBruhat", g: "SchwartzBruhat"):
-        if f.p != g.p or f.n != g.n:
-            raise ValueError("functions live on different spaces")
-        m, k = max(f.m, g.m), max(f.k, g.k)
-        return f.refine(m, k), g.refine(m, k)
-
     def canonical(self) -> "SchwartzBruhat":
         """Unique minimal representation: coarsen while sibling values agree, shrink m."""
         p, n = self.p, self.n
@@ -162,12 +155,20 @@ class SchwartzBruhat:
         return SchwartzBruhat(p, n, m, k, table)
 
     def __eq__(self, other):
+        """Equal as functions, without re-tiling: each cell of the finer table
+        carries the coarser operand's value at its coset_rep, and the finer
+        table has all p^(n dk) children of every coarse cell."""
         if not isinstance(other, SchwartzBruhat):
             return NotImplemented
-        f, g = SchwartzBruhat.common(self, other)
-        if set(f.table) != set(g.table):
-            return False
-        return all(f.table[rep] == g.table[rep] for rep in f.table)
+        if self.p != other.p or self.n != other.n:
+            raise ValueError("functions live on different spaces")
+        fine, coarse = (self, other) if self.k >= other.k else (other, self)
+        p, k = self.p, coarse.k
+        for rep, val in fine.table.items():
+            hit = coarse.table.get(rep if k == fine.k else tuple(coset_rep(c, p, k) for c in rep))
+            if hit is None or not (hit == val):
+                return False
+        return len(fine.table) == p ** (self.n * (fine.k - k)) * len(coarse.table)
 
     def __hash__(self):
         raise TypeError("SchwartzBruhat functions are not hashable")
@@ -175,7 +176,10 @@ class SchwartzBruhat:
     # -- vector space and pointwise operations ---------------------------
 
     def __add__(self, other: "SchwartzBruhat") -> "SchwartzBruhat":
-        f, g = SchwartzBruhat.common(self, other)
+        if self.p != other.p or self.n != other.n:
+            raise ValueError("functions live on different spaces")
+        m, k = max(self.m, other.m), max(self.k, other.k)
+        f, g = self.refine(m, k), other.refine(m, k)
         table = dict(f.table)
         for rep, val in g.table.items():
             cur = table.get(rep)

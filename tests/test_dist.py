@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padlab.cexp import parse
 from padlab.cyclotomic import ExactComplex, zeta
@@ -13,6 +15,7 @@ from padlab.dist import (
     density_distribution,
     dirac,
     graph_measure,
+    graph_pullback,
     haar_on,
     loci_distribution,
     tail_sum,
@@ -112,6 +115,19 @@ def test_eval_mod_agrees_with_generic():
             phi = random_sb(rng, p, 2, 0, 2, entries=p**4 // 2)
             w = tuple(Fraction(rng.randint(-8, 8), p ** rng.randint(0, 2)) for _ in range(2))
             assert g.eval_mod(phi, w) == g.eval(phi.modulate(w))
+    # point masses, which run through the graph measure: at 1/3 over Q_3 the
+    # constant map has lipschitz_extra 1, and (1, 3) is a point of Z_2^2
+    rng = random.Random(7)
+    nonzero = 0
+    for d, m, k in ((dirac(3, (Fraction(1, 3),)), 1, 2), (dirac(2, (1, 3)), 0, 2)):
+        assert d.wf[0].lipschitz_extra() == (1 if d.p == 3 else 0)
+        for _ in range(10):
+            phi = random_sb(rng, d.p, d.n, m, k, entries=d.p ** (d.n * (m + k)) // 2)
+            w = tuple(Fraction(rng.randint(-8, 8), d.p ** rng.randint(0, 3)) for _ in range(d.n))
+            fast = d.eval_mod(phi, w)
+            assert fast == d.eval(phi.modulate(w))
+            nonzero += not fast.is_zero()
+    assert nonzero >= 5
 
 
 # -- graph measures ----------------------------------------------------------
@@ -144,6 +160,50 @@ def test_graph_measure_brute_agreement():
             t = cell.center[0]
             total = total + phi.evaluate((t, t * t + 1))
         assert got == total * Fraction(1, p**level)
+
+
+def all_cosets_pullback(W, phi):
+    """Oracle: t -> phi(t, gamma(t)) evaluated on every base coset, however
+    far from the support of phi."""
+    p = W.p
+    level = max(phi.k + W.lipschitz_extra(), W.base.max_level())
+    m_base = max([0, -level] + [-b.level for b in W.base.boxes])
+    table = {}
+    for cell in W.base.cosets(level):
+        val = phi.evaluate(W.point(cell.center))
+        if not val.is_zero():
+            table[cell.center] = val
+            for c in cell.center:
+                if c != 0:
+                    m_base = max(m_base, -min(0, valuation(c, p)))
+    return SchwartzBruhat(p, W.d, m_base, level, table)
+
+
+def _pullback_manifolds():
+    t, s = RatTerm.var(0), RatTerm.var(1)
+    mixed3 = ClopenSet.from_boxes(3, 1, [Box(3, (Fraction(0),), 1), Box(3, (Fraction(1),), 2),
+                                         Box(3, (Fraction(5),), 3)])
+    mixed2 = ClopenSet.from_boxes(2, 2, [Box(2, (Fraction(0), Fraction(0)), 1),
+                                         Box(2, (Fraction(1), Fraction(0)), 2)])
+    return [
+        GraphManifold(3, mixed3, (t**2 + RatTerm.const(1),)),
+        GraphManifold(2, zp(2), (t * RatTerm.const(Fraction(1, 2)) + t**2,)),  # not 2-integral
+        GraphManifold(2, mixed2, (t * s,)),
+        point_manifold(3, (Fraction(1, 3), Fraction(2))),
+        point_manifold(2, (Fraction(1), Fraction(3))),
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(which=st.integers(0, 4), m=st.integers(0, 1), k=st.integers(0, 2),
+       seed=st.integers(0, 10**6))
+def test_graph_pullback_against_all_cosets(which, m, k, seed):
+    W = _pullback_manifolds()[which]
+    rng = random.Random(seed)
+    phi = random_sb(rng, W.p, W.n, m, k, entries=rng.randint(1, W.p ** (W.n * (m + k))))
+    got, want = graph_pullback(W, phi), all_cosets_pullback(W, phi)
+    assert (got.n, got.m, got.k) == (want.n, want.m, want.k)
+    assert got.table == want.table
 
 
 # -- density distributions ----------------------------------------------------

@@ -44,18 +44,20 @@ def test_wf_scan_haar_all_vanishing():
 
 
 def test_wf_scan_dirac():
-    p = 3
-    xi = dirac(p, (0,))
-    report = wf_scan(xi, zp(p), SMALL)
-    bad = report.nonvanishing()
-    # nonvanishing exactly over the spatial coset of 0, in every direction
-    dirs = sphere_direction_boxes(p, 1, SMALL.k_y)
-    assert len(bad) == len(dirs)
-    for x_rep, y_rep in bad:
-        assert x_rep == (Fraction(0),)
-    # witnesses replay
-    for key in bad:
-        assert report.replay(xi, key)
+    for p, a in ((3, (0,)), (2, (Fraction(3),)), (2, (Fraction(1), Fraction(2)))):
+        n = len(a)
+        xi = dirac(p, a)
+        report = wf_scan(xi, zp(p, n), SMALL)
+        bad = report.nonvanishing()
+        # nonvanishing exactly over the spatial coset of a, in every direction,
+        # which is the closed form: the conormal of the point a
+        dirs = sphere_direction_boxes(p, n, SMALL.k_y)
+        x_rep = Box(p, a, SMALL.k_x).center
+        assert bad == sorted((x_rep, d.center) for d in dirs)
+        assert closed_form_wf_cells(xi, zp(p, n), SMALL) == bad
+        # witnesses replay
+        for key in bad:
+            assert report.replay(xi, key)
 
 
 def test_wf_scan_graph_parabola_matches_closed_form():

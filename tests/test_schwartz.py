@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padlab.cyclotomic import ExactComplex, zeta
-from padlab.padic import Box, ClopenSet, cell_volume, valuation
+from padlab.padic import Box, ClopenSet, cell_volume, rep_key, valuation
 from padlab.schwartz import FOURIER_CELL_CAP, SchwartzBruhat, psi_eval, psi_exponent
 
 PRIMES = [2, 3, 5, 7]
@@ -291,3 +291,28 @@ def test_products_property_against_common_levels(p, n, data):
     for rep in common:
         pairing = pairing + ft[rep] * gt[rep].conjugate()
     assert f.plancherel_pairing(g) == pairing * cell_volume(p, n, k)
+
+
+@pytest.mark.parametrize("p,n", SPACES)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_sum_and_equality_property_against_common_levels(p, n, data):
+    f, g = data.draw(pairs(p, n))
+    m, k = max(f.m, g.m), max(f.k, g.k)
+    ft, gt = _refined(f, k), _refined(g, k)
+    total = f + g
+    assert (total.m, total.k) == (m, k)
+    sums = {rep: ft.get(rep, ExactComplex.zero(p)) + gt.get(rep, ExactComplex.zero(p))
+            for rep in ft.keys() | gt.keys()}
+    assert total.table == SchwartzBruhat(p, n, m, k, sums).table
+    assert (f == g) == (g == f) == (ft == gt)
+    # f re-tiled dk levels finer is equal to f; a missing or a changed cell is not
+    dk = data.draw(st.integers(0, max(d for d in range(4) if p ** (n * d) <= 125)))
+    fine = SchwartzBruhat(p, n, f.m, f.k + dk, _refined(f, f.k + dk))
+    assert f == fine and fine == f
+    if fine.table:
+        rep = data.draw(st.sampled_from(sorted(fine.table, key=rep_key)))
+        missing = fine.copy_with({r: v for r, v in fine.table.items() if r != rep})
+        changed = fine.copy_with({**fine.table, rep: fine.table[rep] + 1})
+        for other in (missing, changed):
+            assert f != other and other != f
