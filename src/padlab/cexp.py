@@ -514,6 +514,9 @@ def parse_ratterm(source: str, p: int = 0) -> RatTerm:
 
 # -- local constancy probing ---------------------------------------------
 
+# how many levels finer than a candidate level constancy is probed
+PROBE_DEPTH = 2
+
 
 @dataclass
 class ConstancyResult:
@@ -525,10 +528,10 @@ class ConstancyResult:
         return self.level is not None
 
 
-def constancy_level(e: CexpExpr, b: Box, k_max: int = 8, probe_depth: int = 2) -> ConstancyResult:
+def constancy_level(e: CexpExpr, b: Box, k_max: int = 8) -> ConstancyResult:
     """Least k <= k_max with e constant on every level-k coset of b.
 
-    Constancy is verified by exact evaluation on all level-(k+probe_depth)
+    Constancy is verified by exact evaluation on all level-(k+PROBE_DEPTH)
     representatives.  Probe points where e is undefined are skipped; a
     coset with no defined probe point raises NotInDomain.  If no k at or
     below the cap works, the result carries a witness pair.
@@ -536,7 +539,7 @@ def constancy_level(e: CexpExpr, b: Box, k_max: int = 8, probe_depth: int = 2) -
     p = e.p
     witness = None
     for k in range(min(0, b.level), k_max + 1):
-        fine = max(k, b.level) + probe_depth
+        fine = max(k, b.level) + PROBE_DEPTH
         groups: dict[tuple, list] = {}
         for sub in b.subboxes(fine):
             key = tuple(coset_rep(c, p, k) for c in sub.center)
@@ -654,7 +657,6 @@ class CexpMonomialData:
             raise ValueError("monomial coefficient must be p-integral")
 
     def to_expr(self) -> CexpExpr:
-        terms = []
         u_term = _poly_to_ratterm(self.u)
         mono = RatTerm.const(self.d)
         for i, e in enumerate(self.mu):

@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from typing import Sequence
 
 from .padic import Box, Rat, _as_fraction, coset_rep, int_rep, valuation
@@ -56,13 +57,7 @@ def fiber_size(N: int, p: int) -> int:
     """
     if N < 1:
         raise ValueError("N must be positive")
-    return gcd_int(N, p - 1) if p != 2 else gcd_int(N, 2)
-
-
-def gcd_int(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
+    return gcd(N, p - 1) if p != 2 else gcd(N, 2)
 
 
 def roots_of_unity(N: int, p: int, prec: int) -> list[Fraction]:
@@ -243,7 +238,6 @@ class HenselChart:
     def apply(self, y: Sequence[Rat]) -> tuple[Fraction, ...]:
         """The chart value: the inverse of the forward map, to precision prec."""
         y = tuple(_as_fraction(c) for c in y)
-        mod = Fraction(self.p) ** self.prec
         z = y[0]
         for _ in range(self.prec + 2):
             v = self.root.eval((z,) + y[1:])

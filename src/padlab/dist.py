@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb, prod
 from typing import Callable, Sequence
 
 from .cexp import Atom, CexpExpr
@@ -146,52 +147,21 @@ def graph_measure(W: GraphManifold) -> Distribution:
 # -- polynomial-times-geometric tails --------------------------------------
 
 
-def _series_u_power(b: int, z: Fraction) -> Fraction:
-    """sum_{u>=0} u^b z^u for 0 < z < 1, via N_b(z) / (1-z)^(b+1)."""
-    # N_0 = 1; N_b = z * (N'_{b-1}(z)(1-z) + b N_{b-1}(z))
-    coeffs = [Fraction(1)]
-    for b_cur in range(1, b + 1):
-        deriv = [coeffs[i] * i for i in range(1, len(coeffs))]
-        part = _poly_mul_1mz(deriv)
-        part = _poly_add(part, [c * b_cur for c in coeffs])
-        coeffs = [Fraction(0)] + part
-    num = sum(c * z**i for i, c in enumerate(coeffs))
-    return num / (1 - z) ** (b + 1)
-
-
-def _poly_add(a: list, b: list) -> list:
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] += c
-    return out
-
-
-def _poly_mul_1mz(a: list) -> list:
-    """a(z) * (1 - z) on coefficient lists."""
-    out = list(a) + [Fraction(0)]
-    for i in range(len(out) - 1, 0, -1):
-        out[i] -= a[i - 1] if i - 1 < len(a) else 0
-    return out
-
-
 def tail_sum(z: Fraction, t: int, start: int) -> Fraction:
-    """sum_{j >= start} j^t z^j, exact; requires 0 < z < 1."""
+    """sum_{j >= start} j^t z^j, exact; requires 0 < z < 1.
+
+    T_u = sum_{j >= start} j^u z^j = start^u z^start + z sum_{i <= u}
+    C(u, i) T_i (shift j -> j + 1 and expand (j + 1)^u), so
+    (1 - z) T_u = start^u z^start + z sum_{i < u} C(u, i) T_i.
+    """
     if not 0 < z < 1:
         raise NonIntegrable(f"tail base {z} is not inside the unit interval")
-    # shift so the tail starts at 0: sum_{u>=0} (u+start)^t z^(u+start)
-    total = Fraction(0)
-    for b in range(t + 1):
-        total += _binom(t, b) * Fraction(start) ** (t - b) * _series_u_power(b, z)
-    return z**start * total
-
-
-def _binom(nn: int, kk: int) -> int:
-    out = 1
-    for i in range(kk):
-        out = out * (nn - i) // (i + 1)
-    return out
+    head = z**start
+    T: list[Fraction] = []
+    for u in range(t + 1):
+        T.append((Fraction(start) ** u * head + z * sum(comb(u, i) * T[i] for i in range(u)))
+                 / (1 - z))
+    return T[t]
 
 
 def range_sum(z: Fraction, t: int, a: int, b: int) -> Fraction:
@@ -284,8 +254,8 @@ class _PsiAverager:
     Structure: a deep coordinate averages over all units U; shallow
     coordinates over 1 + p^a Z_p.  Vanishing beyond the conductor and the
     trivial zone are decided by valuation alone; the finitely many middle
-    values are brute-force character sums at a certified level, checked by
-    recomputation one level finer.
+    values are brute-force character sums at a level proven sufficient
+    (see _brute).
 
     The cache is keyed by w alone.  That is sound only within one (cell,
     term), where w fixes a_star; across cells the same w comes with other
@@ -320,37 +290,39 @@ class _PsiAverager:
         if (w == 0 and len(self.coords) == 1 and self.coords[0][0] == "deep"
                 and abs(self.coords[0][1]) == 1):
             val = ExactComplex.from_rational(Fraction(-1, p - 1), p)
-            self.cache[w] = val
-            return val
-        first = self._brute(w, a_star, 0)
-        second = self._brute(w, a_star, 1)
-        if not (first == second):
-            raise AssertionError("character-sum level certification failed")
-        self.cache[w] = first
-        return first
+        else:
+            val = self._brute(w, a_star)
+        self.cache[w] = val
+        return val
 
-    def _brute(self, w: int, a_star: Fraction, bump: int) -> ExactComplex:
+    def _brute(self, w: int, a_star: Fraction) -> ExactComplex:
+        """The average as an exact character sum over the units mod p^lvl.
+
+        It is exact because psi(a_star prod g_i^kappa_i) is constant on the
+        cosets g_i (1 + p^lvl Z_p).  Replacing g_i by g_i (1 + p^lvl y)
+        changes the argument by valuation >= w + lvl + v(kappa_i), since
+        (1 + p^lvl y)^kappa - 1 has valuation >= lvl + v(kappa) once lvl >= 1
+        (odd p) or lvl >= 2 (p = 2).  The level has lvl >= 1 - w + v(kappa_i)
+        + extra for every i, so that valuation is >= 1 and psi, of conductor
+        pZ_p, does not move.  Here w <= 0, so lvl >= 1 for odd p and lvl >= 3
+        for p = 2.  The shallow representatives 1 + p^a c run over
+        1 + p^a Z_p mod p^lvl, since lvl >= a + 1.
+        """
         p = self.p
         extra = 2 if p == 2 else 0
         lvl = max([1] + [1 - w + valuation(k, p) + extra for (_, k, _) in self.coords]
-                  + [a + 1 for (mode, _, a) in self.coords if mode == "shallow"]) + bump
+                  + [a + 1 for (mode, _, a) in self.coords if mode == "shallow"])
         spaces = []
         for mode, kappa, a in self.coords:
             if mode == "deep":
                 pts = [Fraction(u) for u in range(1, p**lvl) if u % p != 0]
             else:
                 pts = [1 + Fraction(p**a) * c for c in range(p ** (lvl - a))]
-            spaces.append((pts, kappa))
+            spaces.append([g**kappa for g in pts])
         total = ExactComplex.zero(p)
-        count = 1
-        for pts, _ in spaces:
-            count *= len(pts)
-        for combo in itertools.product(*[pts for pts, _ in spaces]):
-            arg = a_star
-            for g, (_, kappa) in zip(combo, spaces):
-                arg *= g**kappa
-            total = total + psi_eval(arg, p)
-        return total * Fraction(1, count)
+        for combo in itertools.product(*spaces):
+            total = total + psi_eval(a_star * prod(combo), p)
+        return total * Fraction(1, prod(map(len, spaces)))
 
 
 def density_distribution(e: CexpExpr, X: ClopenSet) -> Distribution:
@@ -400,15 +372,18 @@ def _cell_integral(p: int, m: int, k: int, rep, val: ExactComplex,
         raise UnsupportedShape(
             "psi argument couples several hyperplane-touching coordinates")
 
-    # independent deep coordinates: pure polynomial-geometric tails
-    indep = Fraction(1)
-    for i in deep:
-        if i in coupled:
-            continue
+    def tail(i: int, start: int) -> Fraction:
+        """The shells v(x_i) = j >= start of |x_i|^s ord(x_i)^t, psi-free."""
         z = Fraction(1, p) ** (term.s[i] + 1)
         if z >= 1:
             raise NonIntegrable(f"non-oscillatory tail in x{i+1} with |x|^{term.s[i]}")
-        indep *= (1 - Fraction(1, p)) * tail_sum(z, term.t[i], k)
+        return (1 - Fraction(1, p)) * tail_sum(z, term.t[i], start)
+
+    # independent deep coordinates: pure polynomial-geometric tails
+    indep = Fraction(1)
+    for i in deep:
+        if i not in coupled:
+            indep *= tail(i, k)
 
     if term.A is None:
         return val * term.coef * (base * indep)
@@ -416,58 +391,38 @@ def _cell_integral(p: int, m: int, k: int, rep, val: ExactComplex,
     # psi data: averaging structure over the coordinates present in the argument
     coords = []
     w0 = valuation(term.A, p)
+    a_star0 = term.A
     for i in shallow:
         if term.kappa[i]:
             rho = valuation(rep[i], p)
             w0 += term.kappa[i] * rho
             coords.append(("shallow", term.kappa[i], k - rho))
-    a_star0 = term.A
-    for i in shallow:
-        if term.kappa[i]:
             a_star0 *= rep[i] ** term.kappa[i]
 
     if not coupled:
-        averager = _PsiAverager(p, coords)
-        psi_val = averager.value(w0, a_star0)
+        psi_val = _PsiAverager(p, coords).value(w0, a_star0)
         return val * term.coef * (base * indep) * psi_val
 
+    # the shell v(x_i0) = j >= k has phase valuation w = w0 + kap j: psi is
+    # trivial where w >= 1, the shell vanishes where w <= vanish_at, and the
+    # middle shells, |kap| j in [lo, hi], are unit-group averages
     i0 = coupled[0]
     kap = term.kappa[i0]
     averager = _PsiAverager(p, coords + [("deep", kap, 1)])
-    z = Fraction(1, p) ** (term.s[i0] + 1)
-    two_adic = 1 if p == 2 else 0
     vanish_at = averager.vanish_at
-
-    s_total = ExactComplex.zero(p)
+    lo, hi = (w0, w0 - vanish_at - 1) if kap < 0 else (vanish_at + 1 - w0, -w0)
+    first, last = -(-lo // abs(kap)), hi // abs(kap)
+    z = Fraction(1, p) ** (term.s[i0] + 1)
     unit_frac = 1 - Fraction(1, p)
-    if kap < 0:
-        # trivial zone j <= j_triv (w >= 1), then middle, then exact vanishing
-        j_triv = (w0 - 1) // (-kap)   # largest j with w0 + kap j >= 1
-        j_end = -(-(w0 - vanish_at) // (-kap))  # smallest j with w <= vanish_at
-        hi = min(j_triv, 10**9)
-        if hi >= k:
-            s_total = s_total + ExactComplex.from_rational(
-                unit_frac * range_sum(z, term.t[i0], k, hi), p)
-        for j in range(max(k, j_triv + 1), j_end):
-            w = w0 + kap * j
-            psi_val = averager.value(w, a_star0 * Fraction(p) ** (kap * j))
-            weight = unit_frac * Fraction(j) ** term.t[i0] * z**j
-            s_total = s_total + psi_val * weight
-    else:
-        # vanishing for small j, middle band, then the trivial tail (w >= 1)
-        j_triv = -(-(1 - w0) // kap)                   # ceil((1-w0)/kap)
-        j_start = max(k, (vanish_at - w0) // kap + 1)  # first j with w > vanish_at
-        for j in range(j_start, max(j_start, j_triv)):
-            w = w0 + kap * j
-            psi_val = averager.value(w, a_star0 * Fraction(p) ** (kap * j))
-            weight = unit_frac * Fraction(j) ** term.t[i0] * z**j
-            s_total = s_total + psi_val * weight
-        tail_start = max(k, j_triv)
-        if z >= 1:
-            raise NonIntegrable(f"non-oscillatory tail in x{i0+1} with |x|^{term.s[i0]}")
+    s_total = ExactComplex.zero(p)
+    if kap < 0 and first > k:  # trivial zone k <= j < first
         s_total = s_total + ExactComplex.from_rational(
-            unit_frac * tail_sum(z, term.t[i0], tail_start), p)
-
+            unit_frac * range_sum(z, term.t[i0], k, first - 1), p)
+    for j in range(max(k, first), last + 1):
+        psi_val = averager.value(w0 + kap * j, a_star0 * Fraction(p) ** (kap * j))
+        s_total = s_total + psi_val * (unit_frac * Fraction(j) ** term.t[i0] * z**j)
+    if kap > 0:  # trivial tail j > last
+        s_total = s_total + ExactComplex.from_rational(tail(i0, max(k, last + 1)), p)
     return val * term.coef * (base * indep) * s_total
 
 
@@ -504,19 +459,20 @@ def pushforward_chart(xi: Distribution, chart) -> Distribution:
     Z_p^n (l >= 0) into one level-l coset, so phi ∘ chart is constant on
     the level-max(k, 0) cosets when phi is constant on level-k cosets.
     """
-    p, n = xi.p, xi.n
-    dom = Box(p, tuple(Fraction(0) for _ in range(n)), 0)
+    return Distribution(xi.p, xi.n, lambda phi: xi.eval(_pull_back(phi, chart.apply)))
 
-    def ev(phi: SchwartzBruhat) -> ExactComplex:
-        level = max(phi.k, 0)
-        table = {}
-        for cell in dom.subboxes(level):
-            val = phi.evaluate(chart.apply(cell.center))
-            if not val.is_zero():
-                table[cell.center] = val
-        return xi.eval(SchwartzBruhat(p, n, 0, level, table))
 
-    return Distribution(p, n, ev)
+def _pull_back(phi: SchwartzBruhat, f: Callable) -> SchwartzBruhat:
+    """phi ∘ f on Z_p^n, tabulated on the level-max(k, 0) cosets; f must map
+    every level-l coset of Z_p^n (l >= 0) into one level-l coset."""
+    p, n = phi.p, phi.n
+    level = max(phi.k, 0)
+    table = {}
+    for cell in Box(p, tuple(Fraction(0) for _ in range(n)), 0).subboxes(level):
+        val = phi.evaluate(f(cell.center))
+        if not val.is_zero():
+            table[cell.center] = val
+    return SchwartzBruhat(p, n, 0, level, table)
 
 
 # -- the loci construction ---------------------------------------------------

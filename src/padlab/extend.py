@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .cyclotomic import ExactComplex
-from .dist import Distribution, graph_pullback
+from .dist import Distribution, _pull_back, graph_pullback
 from .graphs import GraphManifold
 from .padic import Box, ClopenSet, Rat, _as_fraction, coset_rep, valuation
 from .schwartz import SchwartzBruhat
@@ -192,7 +192,7 @@ def boundary_restriction(phi: SchwartzBruhat) -> SchwartzBruhat:
     return phi.copy_with(table)
 
 
-def min_coord_lift(phi0: SchwartzBruhat, m: int | None = None) -> SchwartzBruhat:
+def min_coord_lift(phi0: SchwartzBruhat) -> SchwartzBruhat:
     """L(phi0)(x) = phi0(p(x)) on Z_p^m for phi0 living on the hyperplane union.
 
     The lift of a level-k function is level-k: inside one level-k coset the
@@ -200,19 +200,7 @@ def min_coord_lift(phi0: SchwartzBruhat, m: int | None = None) -> SchwartzBruhat
     single coset) or is ambiguous only among coordinates divisible by p^k,
     where every zeroing lands in the same coset.
     """
-    p = phi0.p
-    m = phi0.n if m is None else m
-    if m != phi0.n:
-        raise ValueError("dimension mismatch")
-    proj = MinCoordMap(p, m)
-    k = max(phi0.k, 0)
-    box = Box(p, tuple(Fraction(0) for _ in range(m)), 0)
-    table = {}
-    for cell in box.subboxes(k):
-        val = phi0.evaluate(proj.apply(cell.center))
-        if not val.is_zero():
-            table[cell.center] = val
-    return SchwartzBruhat(p, m, 0, k, table)
+    return _pull_back(phi0, MinCoordMap(phi0.p, phi0.n).apply)
 
 
 def extend_min_coord(mu: Distribution) -> Distribution:

@@ -21,6 +21,10 @@ from .graphs import GraphManifold
 from .padic import Box, ClopenSet, Rat, _as_fraction, valuation
 from .schwartz import SchwartzBruhat
 
+# how many levels finer than a grid cell the coverage search looks for
+# base points and covectors on a conormal bundle
+COVER_REFINE = 2
+
 
 @dataclass(frozen=True)
 class ScanParams:
@@ -96,7 +100,7 @@ def wf_scan(xi: Distribution, region: ClopenSet, params: ScanParams = ScanParams
     dirs = sphere_direction_boxes(p, n, params.k_y)
     cells = {}
     for c in x_cells:
-        phis = [(b.center, SchwartzBruhat.indicator_box(b, n_override=n))
+        phis = [(b.center, SchwartzBruhat.indicator_box(b))
                 for b in c.subboxes(params.k_test)]
         for d in dirs:
             y = d.center
@@ -137,7 +141,6 @@ def smooth_locus_scan(xi: Distribution, region: ClopenSet, depth: int,
                       scan_level: int | None = None) -> dict:
     """Per-coset verdicts: a coset is flagged smooth when xi assigns every
     sub-coset down to `depth` levels exactly gamma times its volume."""
-    p, n = xi.p, xi.n
     level = max(region.max_level(), scan_level if scan_level is not None else 0)
     out = {}
     for c in region.cosets(level):
@@ -197,8 +200,7 @@ def _ball_intersection_1d(balls: list[tuple[Fraction, int]], p: int):
     return cur
 
 
-def _cell_covered(cp: ConormalPresentation, x_box: Box, y_box: Box,
-                  refine: int = 2) -> bool:
+def _cell_covered(cp: ConormalPresentation, x_box: Box, y_box: Box) -> bool:
     """Does the cell contain a representative pair on the conormal bundle?
 
     Searches base points of W inside the spatial box at a refined level;
@@ -210,7 +212,7 @@ def _cell_covered(cp: ConormalPresentation, x_box: Box, y_box: Box,
     p = W.p
     k_y = y_box.level
     codim = len(W.maps)
-    for t in W.base_reps_in_box(x_box, x_box.level + refine):
+    for t in W.base_reps_in_box(x_box, x_box.level + COVER_REFINE):
         if W.d == 0:
             return True  # point manifold: every covector is conormal
         jac = W.jacobian(t)
@@ -233,7 +235,7 @@ def _cell_covered(cp: ConormalPresentation, x_box: Box, y_box: Box,
         else:
             # representative search at scale in the covector fiber
             theta_box = Box(p, y_box.center[W.d:], k_y)
-            for sub in theta_box.subboxes(k_y + refine):
+            for sub in theta_box.subboxes(k_y + COVER_REFINE):
                 theta = sub.center
                 eta = tuple(-sum(jac[j][i] * theta[j] for j in range(codim))
                             for i in range(W.d))
@@ -250,8 +252,8 @@ class HolonomicityVerdict:
     covered: list
 
 
-def holonomicity_check(report: ScanReport, candidates: Sequence[ConormalPresentation],
-                       refine: int = 2) -> HolonomicityVerdict:
+def holonomicity_check(report: ScanReport,
+                       candidates: Sequence[ConormalPresentation]) -> HolonomicityVerdict:
     """Pass iff every nonvanishing grid cell contains a representative pair on
     some candidate conormal bundle (containment certified at scale)."""
     p = None
@@ -261,7 +263,7 @@ def holonomicity_check(report: ScanReport, candidates: Sequence[ConormalPresenta
             p = report.region.p
         x_box = Box(p, x_rep, max(report.params.k_x, report.region.max_level()))
         y_box = Box(p, y_rep, report.params.k_y)
-        if any(_cell_covered(cp, x_box, y_box, refine) for cp in candidates):
+        if any(_cell_covered(cp, x_box, y_box) for cp in candidates):
             covered.append((x_rep, y_rep))
         else:
             violations.append((x_rep, y_rep))

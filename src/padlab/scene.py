@@ -270,7 +270,7 @@ def _build_section(scene: Scene, kind: str, name: str, body: dict, values, linen
         base_val, ln = _get(body, "base", lineno)
         d = int(body.get("basedim", (str(max(dim - 1, 0)), lineno))[0])
         base = parse_clopen(base_val, p, d, ln)
-        map_val, ln2 = _get(body, "map", lineno)
+        map_val, _ = _get(body, "map", lineno)
         inner = map_val.strip()
         if inner.startswith("(") and inner.endswith(")"):
             inner = inner[1:-1]
@@ -283,7 +283,7 @@ def _build_section(scene: Scene, kind: str, name: str, body: dict, values, linen
 
         xval, ln = _get(body, "x", lineno)
         region = resolve_clopen(scene, xval, dim, ln)
-        strata_val, ln2 = _get(body, "strata", lineno)
+        strata_val, _ = _get(body, "strata", lineno)
         strata = [scene.lookup("graphs", s.strip()) for s in strata_val.split(",")]
         scene.splits[name] = Split(region, strata)
     else:

@@ -80,14 +80,13 @@ class SchwartzBruhat:
         return SchwartzBruhat(p, n, m, k, {})
 
     @staticmethod
-    def indicator_box(b: Box, n_override: int | None = None) -> "SchwartzBruhat":
-        n = b.dim if n_override is None else n_override
+    def indicator_box(b: Box) -> "SchwartzBruhat":
         m = max(0, -b.level)
         for c in b.center:
             v = valuation(c, b.p)
             if v < 0:
                 m = max(m, -v)
-        return SchwartzBruhat(b.p, n, m, b.level, {b.center: ExactComplex.one(b.p)})
+        return SchwartzBruhat(b.p, b.dim, m, b.level, {b.center: ExactComplex.one(b.p)})
 
     @staticmethod
     def indicator(cs: ClopenSet) -> "SchwartzBruhat":

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -52,12 +53,16 @@ def test_tail_sum_against_sympy():
     j = sympy.Symbol("j")
     for p in (2, 3, 5):
         for s in (0, 1, 2):
-            for t in (0, 1, 2):
-                for start in (0, 1, 5, 12):
-                    z = Fraction(1, p ** (s + 1))
-                    got = tail_sum(z, t, start)
-                    expect = sympy.summation(
-                        j**t * sympy.Rational(1, p ** (s + 1)) ** j, (j, start, sympy.oo))
+            z = sympy.Rational(1, p ** (s + 1))
+            for t in range(5):
+                # sympy sums from 0 (from a negative start it misreads
+                # j^t z^j); each start differs from that by a finite sum
+                from_zero = sympy.summation(j**t * z**j, (j, 0, sympy.oo))
+                for start in (-3, -1, 0, 1, 5, 12):
+                    finite = sum(sympy.Rational(i) ** t * z**i
+                                 for i in range(min(start, 0), max(start, 0)))
+                    expect = from_zero + finite if start < 0 else from_zero - finite
+                    got = tail_sum(Fraction(1, p ** (s + 1)), t, start)
                     assert sympy.Rational(got.numerator, got.denominator) == expect
 
 
@@ -368,6 +373,156 @@ def test_psi_averager_cache_holds_within_one_cell():
     shared = _PsiAverager(3, coords)
     shared.value(-1, Fraction(1, 3))
     assert shared.value(-1, Fraction(2, 3)) == first != second
+
+
+# -- psi-coupled densities against a per-shell oracle ----------------------------
+
+
+def _units(p, r):
+    return [u for u in range(1, p**r) if u % p]
+
+
+def psi_shell_oracle(src, p, phi, a, kappa, s, t, last):
+    """Independent oracle for the integral over Z_p^n of e(x) phi(x), where
+    e = psi(p^a prod x_i^kappa_i) |x_n|^s ord(x_n)^t (other factors may
+    involve x_1..x_{n-1} only) and phi vanishes wherever some x_i with
+    i < n has valuation >= phi.k.
+
+    Shell j of x_n (and each valuation below phi.k of the others) is summed
+    by brute force over x = p^v u, with every unit u_i enumerated modulo
+    p^r, r >= max(1, k - v_i, 1 - w) where w = a + sum kappa_i v_i: then
+    psi's argument moves by valuation >= 1 and phi by nothing, so the sum
+    is exact.  Shells j > `last` must follow one model, C |x_n|^s ord^t
+    (the psi factor trivial or the shell zero): C is read off shell
+    last + 1, checked on shell last + 2, and the tail is summed by sympy.
+    """
+    import sympy
+
+    e, n, k = parse(src, p), phi.n, phi.k
+
+    def shell(j):
+        total = ExactComplex.zero(p)
+        for vs in itertools.product(range(k), repeat=n - 1):
+            v = vs + (j,)
+            w = a + sum(ki * vi for ki, vi in zip(kappa, v))
+            r = [max(1, k - vi, 1 - w) for vi in v]
+            cell = Fraction(1, p ** sum(vi + ri for vi, ri in zip(v, r)))
+            for us in itertools.product(*[_units(p, ri) for ri in r]):
+                x = tuple(Fraction(p) ** vi * ui for vi, ui in zip(v, us))
+                val = phi.evaluate(x)
+                if not val.is_zero():
+                    total = total + e.eval(x) * val * cell
+        return total
+
+    def weight(j):
+        return (1 - Fraction(1, p)) * Fraction(1, p) ** (j * (s + 1)) * Fraction(j) ** t
+
+    shells = [shell(j) for j in range(last + 3)]
+    C = shells[last + 1] * (1 / weight(last + 1))
+    assert shells[last + 2] == C * weight(last + 2), "shells beyond `last` are not a tail"
+    j = sympy.Symbol("j")
+    tail = sympy.summation(
+        j**t * sympy.Rational(1, p) ** (j * (s + 1)) * (1 - sympy.Rational(1, p)),
+        (j, last + 1, sympy.oo))
+    total = C * Fraction(str(tail))
+    for val in shells[: last + 1]:
+        total = total + val
+    return total
+
+
+def _tail_start(p, a, kappa, k):
+    """First shell j >= k of a deep coordinate from which psi(p^a x^kappa)
+    is trivial (kappa > 0) or the shell integral vanishes (kappa < 0).  The
+    kappa < 0 bound sits 1 (odd p) or 2 (p = 2) below the averager's own
+    vanish_at, and psi_shell_oracle checks the shells past it anyway."""
+    j = k
+    while True:
+        w = a + kappa * j
+        if (w >= 1) if kappa > 0 else w <= -2 - valuation(kappa, p) - (2 if p == 2 else 0):
+            return j
+        j += 1
+
+
+# (a, abs/ord factors with their (s, t)) per kappa: on the deep cell (j >= 2)
+# psi(p^a x^kappa) carries a trivial zone, middle shells and a zero zone
+# (kappa < 0), or zero shells, middle shells and a trivial tail (kappa > 0)
+PSI_CASES = {
+    -2: (6, "*abs(x1)*ord(x1)", 1, 1),
+    -1: (4, "*ord(x1)^2", 0, 2),
+    1: (-2, "*abs(x1)^2*ord(x1)", 2, 1),
+    2: (-4, "*abs(x1)", 1, 0),
+}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("kappa", [-2, -1, 1, 2])
+def test_density_psi_coupling_vs_shell_oracle(p, kappa):
+    a, factors, s, t = PSI_CASES[kappa]
+    src = f"psi({Fraction(p) ** a}*x1^({kappa}))" + factors
+    rng = random.Random(100 * p + kappa)
+    k = 2
+    phi = random_sb(rng, p, 1, 0, k, entries=p**k // 2)
+    phi.table[(Fraction(0),)] = ExactComplex.gaussian(1, -1, p)  # the deep cell
+    got = density_distribution(parse(src, p), zp(p)).eval(phi)
+    last = _tail_start(p, a, kappa, k) - 1
+    assert got == psi_shell_oracle(src, p, phi, a, (kappa,), s, t, last)
+
+
+@pytest.mark.parametrize("p,src,a,kappa,s,t", [
+    (3, "psi(x1*x2/27)*abs(x2)*ord(x2)", -3, (1, 1), 1, 1),
+    (2, "psi(x1^2/(2*x2))*abs(x1)*ord(x2)^2", -1, (2, -1), 0, 2),
+])
+def test_density_psi_shallow_and_deep_share_psi(p, src, a, kappa, s, t):
+    # x1 stays shallow (phi vanishes where v(x1) >= k); x2 runs into the
+    # hyperplane, so each cell couples a shallow and a deep coordinate
+    k = 2
+    rng = random.Random(len(src))
+    table = {}
+    for b in zp(p, 2).cosets(k):
+        x1, x2 = b.center
+        if x1 != 0 and (x2 == 0 or rng.random() < 0.3):
+            table[b.center] = ExactComplex.gaussian(rng.randint(1, 3), rng.randint(-2, 2), p)
+    phi = SchwartzBruhat(p, 2, 0, k, table)
+    got = density_distribution(parse(src, p), zp(p, 2)).eval(phi)
+    last = max(_tail_start(p, a + kappa[0] * v1, kappa[1], k) for v1 in range(k)) - 1
+    assert got == psi_shell_oracle(src, p, phi, a, kappa, s, t, last)
+
+
+def unit_average(p, coords, a_star, lvl):
+    """Probability average of psi(a_star prod g_i^kappa_i), each g_i running
+    over the units mod p^lvl (deep) or over 1 + p^a Z_p mod p^lvl (shallow)."""
+    spaces = []
+    for mode, kappa, a in coords:
+        if mode == "deep":
+            spaces.append([(Fraction(u), kappa) for u in _units(p, lvl)])
+        else:
+            spaces.append([(1 + Fraction(p**a) * c, kappa) for c in range(p ** (lvl - a))])
+    total = ExactComplex.zero(p)
+    count = 0
+    for combo in itertools.product(*spaces):
+        arg = a_star
+        for g, kappa in combo:
+            arg *= g**kappa
+        total = total + psi_eval(arg, p)
+        count += 1
+    return total * Fraction(1, count)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_psi_averager_level_is_sufficient(p):
+    # every middle value, and the first vanishing one, equals the same unit
+    # average enumerated one level finer than the averager's own level
+    extra = 2 if p == 2 else 0
+    for coords in ([("deep", 1, 1)], [("deep", -p, 1)], [("shallow", 2, 1)],
+                   [("shallow", -1, 2)], [("shallow", p, 1), ("deep", -1, 1)]):
+        avg = _PsiAverager(p, coords)
+        for w in range(avg.vanish_at, 1):
+            lvl = max([1] + [1 - w + valuation(kappa, p) + extra for _, kappa, _ in coords]
+                      + [a + 1 for mode, _, a in coords if mode == "shallow"])
+            for unit in (1, p - 1, Fraction(1, p + 1)):
+                a_star = unit * Fraction(p) ** w
+                got = _PsiAverager(p, coords).value(w, a_star)
+                assert got == unit_average(p, coords, a_star, lvl + 1), (coords, w, unit)
 
 
 # -- ball transform -----------------------------------------------------------

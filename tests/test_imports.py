@@ -1,7 +1,9 @@
-"""Every top-level import in a padlab module is used by that module.
+"""Every top-level import in a padlab module is used by that module, and
+every local a function assigns is read.
 
-`__init__.py` is skipped: its imports are the package's re-exports.
-Only the standard library's `ast` is used, so the check needs no linter.
+`__init__.py` is skipped by the import check: its imports are the
+package's re-exports.  Only the standard library's `ast` is used, so the
+checks need no linter.
 """
 
 import ast
@@ -62,3 +64,35 @@ def test_no_unused_top_level_imports(path):
                     if name not in used)
     assert not unused, f"{path.name}: unused imports " + ", ".join(
         f"{name} (line {line})" for line, name in unused)
+
+
+def _unused_locals(tree: ast.Module) -> list[tuple[int, str]]:
+    """(line, name) of each name a function binds by plain assignment and
+    never reads, nested functions included; `_` is exempt."""
+    out = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        assigned, read = {}, set()
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    for name in ast.walk(target):
+                        if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store):
+                            assigned.setdefault(name.id, name.lineno)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+        out |= {(line, name) for name, line in assigned.items() if name not in read and name != "_"}
+    return sorted(out)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_unread_locals(path):
+    unread = _unused_locals(ast.parse(path.read_text(encoding="utf-8")))
+    assert not unread, f"{path.name}: locals assigned and never read " + ", ".join(
+        f"{name} (line {line})" for line, name in unread)
+
+
+def test_unread_local_check_catches_one():
+    tree = ast.parse("def f(x):\n    a, b = x\n    c = a\n    def g():\n        return c\n    return g\n")
+    assert _unused_locals(tree) == [(2, "b")]
