@@ -14,8 +14,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, prod
-from typing import Callable, Sequence
+from math import comb, gcd, prod
+from operator import mul
+from typing import Callable, Iterator, Sequence
 
 from .cexp import Atom, CexpExpr
 from .cyclotomic import ExactComplex
@@ -37,19 +38,22 @@ class UnsupportedShape(Exception):
 class Distribution:
     """Linear functional on Schwartz-Bruhat functions, exactly evaluable.
 
-    eval_mod_fn, when given, computes xi(phi * psi(<w, .>)) directly; it
-    must agree with eval_fn(phi.modulate(w)).  domain is the clopen set
-    that carries xi, if any.  wf lists the graph manifolds whose conormal
-    bundles make up the closed-form wave front set: () for a smooth
-    measure, (W,) for the graph measure of W (a point mass is the graph
-    measure of a point, whose conormal is every covector there), and None
-    when there is no closed form.
+    eval_mods_fn, when given, is a batched fast path: for one test function
+    phi and a sequence of frequencies ws it yields xi(phi * psi(<w, .>))
+    for each w, in the order of ws, and must agree with
+    eval_fn(phi.modulate(w)).  domain is the clopen set that carries xi, if
+    any.  wf lists the graph manifolds whose conormal bundles make up the
+    closed-form wave front set: () for a smooth measure, (W,) for the graph
+    measure of W (a point mass is the graph measure of a point, whose
+    conormal is every covector there), and None when there is no closed
+    form.
     """
 
     p: int
     n: int
     eval_fn: Callable[[SchwartzBruhat], ExactComplex]
-    eval_mod_fn: Callable[[SchwartzBruhat, Sequence[Rat]], ExactComplex] | None = None
+    eval_mods_fn: Callable[[SchwartzBruhat, Sequence[Sequence[Rat]]],
+                           Iterator[ExactComplex]] | None = None
     domain: ClopenSet | None = None
     wf: tuple[GraphManifold, ...] | None = None
 
@@ -58,11 +62,20 @@ class Distribution:
             raise ValueError("test function lives on the wrong space")
         return self.eval_fn(phi)
 
+    def eval_mods(self, phi: SchwartzBruhat,
+                  ws: Sequence[Sequence[Rat]]) -> Iterator[ExactComplex]:
+        """xi(phi * psi(<w, .>)) for each w in ws, in order, as they are
+        computed: the Fourier pairings of one test function that wave-front
+        scans read.  Without a fast path, each is eval(phi.modulate(w))."""
+        if phi.p != self.p or phi.n != self.n:
+            raise ValueError("test function lives on the wrong space")
+        if self.eval_mods_fn is not None:
+            return self.eval_mods_fn(phi, ws)
+        return (self.eval(phi.modulate(w)) for w in ws)
+
     def eval_mod(self, phi: SchwartzBruhat, w: Sequence[Rat]) -> ExactComplex:
-        """xi(phi * psi(<w, .>)): the Fourier pairing used by wave-front scans."""
-        if self.eval_mod_fn is not None:
-            return self.eval_mod_fn(phi, w)
-        return self.eval(phi.modulate(w))
+        """xi(phi * psi(<w, .>)): eval_mods of the one frequency w."""
+        return next(self.eval_mods(phi, (w,)))
 
 
 # -- simple catalog entries ----------------------------------------------
@@ -79,20 +92,23 @@ def haar_on(X: ClopenSet) -> Distribution:
     def ev(phi: SchwartzBruhat) -> ExactComplex:
         return phi.restrict(X).integrate()
 
-    def ev_mod(phi: SchwartzBruhat, w) -> ExactComplex:
-        w = tuple(_as_fraction(wi) for wi in w)
+    def ev_mods(phi: SchwartzBruhat, ws) -> Iterator[ExactComplex]:
         f = phi.restrict(X)
         k = f.k
-        # inner integral over a level-k coset: psi(<w, rep>) p^{-nk} if
-        # every v(w_i) >= 1 - k, else 0 by character orthogonality
-        if any(wi != 0 and valuation(wi, p) < 1 - k for wi in w):
-            return ExactComplex.zero(p)
-        total = ExactComplex.zero(p)
-        for rep, val in f.table.items():
-            total = total + val * psi_eval(sum(wi * ri for wi, ri in zip(w, rep)), p)
-        return total * cell_volume(p, n, k)
+        volume = cell_volume(p, n, k)
+        for w in ws:
+            w = tuple(_as_fraction(wi) for wi in w)
+            # inner integral over a level-k coset: psi(<w, rep>) p^{-nk} if
+            # every v(w_i) >= 1 - k, else 0 by character orthogonality
+            if any(wi != 0 and valuation(wi, p) < 1 - k for wi in w):
+                yield ExactComplex.zero(p)
+                continue
+            total = ExactComplex.zero(p)
+            for rep, val in f.table.items():
+                total = total + val * psi_eval(sum(wi * ri for wi, ri in zip(w, rep)), p)
+            yield total * volume
 
-    return Distribution(p, n, ev, ev_mod, domain=X, wf=())
+    return Distribution(p, n, ev, ev_mods, domain=X, wf=())
 
 
 def _graph_cells(W: GraphManifold, phi: SchwartzBruhat, level: int) -> list:
@@ -114,34 +130,82 @@ def _graph_cells(W: GraphManifold, phi: SchwartzBruhat, level: int) -> list:
     return out
 
 
+def _residue(q: Fraction, mod: int) -> int:
+    """The integer congruent to the p-integral rational q modulo mod = p^s."""
+    return q.numerator * pow(q.denominator, -1, mod) % mod
+
+
+def _root_sum(p: int, s: int, hist: dict[int, int]) -> ExactComplex:
+    """sum of count * zeta_{p^s}^U over hist {U: count}, at the least level
+    that holds every exponent, as ExactComplex.root reduces one root."""
+    step = gcd(p**s, *hist)  # p^j, the highest power dividing every U
+    r, g = s, step
+    while g > 1:
+        g //= p
+        r -= 1
+    return ExactComplex(p, r, {(u // step, 0): Fraction(c) for u, c in hist.items()})
+
+
 def graph_measure(W: GraphManifold) -> Distribution:
     """Pushforward of Haar measure on the base to the graph."""
     p, n = W.p, W.n
 
-    def pulled(phi: SchwartzBruhat, w=None):
-        """xi(phi), or xi(phi * psi(<w, .>)) when w is given."""
-        extra = W.lipschitz_extra()
-        level0 = max(phi.k + extra, W.base.max_level())
+    def ev(phi: SchwartzBruhat) -> ExactComplex:
+        level0 = max(phi.k + W.lipschitz_extra(), W.base.max_level())
         cells = _graph_cells(W, phi, level0)
         total = ExactComplex.zero(p)
         if not cells:
             return total
-        if w is None:
-            for _, val in cells:
-                total = total + val
-            return total * cell_volume(p, W.d, level0)
-        w = tuple(_as_fraction(wi) for wi in w)
-        shift = max((1 - valuation(wi, p) for wi in w if wi != 0), default=0)
-        level = max(level0, shift + extra)
-        for t, val in cells:
-            acc = ExactComplex.zero(p)
-            for sub in Box(p, t, level0).subboxes(level):
-                x = W.point(sub.center)
-                acc = acc + psi_eval(sum(wi * xi for wi, xi in zip(w, x)), p)
-            total = total + val * acc
-        return total * cell_volume(p, W.d, level)
+        for _, val in cells:
+            total = total + val
+        return total * cell_volume(p, W.d, level0)
 
-    return Distribution(p, n, pulled, pulled, wf=(W,))
+    def ev_mods(phi: SchwartzBruhat, ws) -> Iterator[ExactComplex]:
+        """One graph walk for all of ws.  For w = p^-e u (u p-integral) the
+        sum over a cell runs over its level-`level` subcells, where
+        psi(<w, x>) is constant: with x the graph points and p^D x
+        p-integral, psi(<w, x>) = zeta_{p^(e+D+1)}^U for the integer
+        U = sum_i u_i (p^D x_i) mod p^(e+D+1).  The points are read once
+        per level and reduced once per (level, e); each w then adds one
+        histogram of exponents per cell."""
+        extra = W.lipschitz_extra()
+        level0 = max(phi.k + extra, W.base.max_level())
+        cells = _graph_cells(W, phi, level0)
+        points = {}    # level -> (D, [(val, graph points of the subcells)])
+        residues = {}  # (level, e) -> (e + D + 1, [(val, [p^D x mod p^(e+D+1)])])
+        if not cells:
+            for _ in ws:
+                yield ExactComplex.zero(p)
+            return
+        for w in ws:
+            w = tuple(_as_fraction(wi) for wi in w)
+            vs = [valuation(wi, p) for wi in w if wi != 0]
+            level = max(level0, max((1 - v for v in vs), default=0) + extra)
+            e = max([0] + [-v for v in vs])
+            if level not in points:
+                pts = [(val, [W.point(sub.center) for sub in Box(p, t, level0).subboxes(level)])
+                       for t, val in cells]
+                D = max([0] + [-valuation(c, p) for _, xs in pts for x in xs for c in x if c])
+                points[level] = D, pts
+            if (level, e) not in residues:
+                D, pts = points[level]
+                s, scale = e + D + 1, Fraction(p) ** D
+                mod = p**s
+                residues[level, e] = s, [(val, [tuple(_residue(c * scale, mod) for c in x)
+                                                for x in xs]) for val, xs in pts]
+            s, table = residues[level, e]
+            mod = p**s
+            u = tuple(_residue(wi * p**e, mod) for wi in w)
+            total = ExactComplex.zero(p)
+            for val, xs in table:
+                hist: dict[int, int] = {}
+                for x in xs:
+                    U = sum(map(mul, u, x)) % mod
+                    hist[U] = hist.get(U, 0) + 1
+                total = total + val * _root_sum(p, s, hist)
+            yield total * cell_volume(p, W.d, level)
+
+    return Distribution(p, n, ev, ev_mods, wf=(W,))
 
 
 # -- polynomial-times-geometric tails --------------------------------------
@@ -301,16 +365,18 @@ class _PsiAverager:
         It is exact because psi(a_star prod g_i^kappa_i) is constant on the
         cosets g_i (1 + p^lvl Z_p).  Replacing g_i by g_i (1 + p^lvl y)
         changes the argument by valuation >= w + lvl + v(kappa_i), since
-        (1 + p^lvl y)^kappa - 1 has valuation >= lvl + v(kappa) once lvl >= 1
-        (odd p) or lvl >= 2 (p = 2).  The level has lvl >= 1 - w + v(kappa_i)
-        + extra for every i, so that valuation is >= 1 and psi, of conductor
-        pZ_p, does not move.  Here w <= 0, so lvl >= 1 for odd p and lvl >= 3
-        for p = 2.  The shallow representatives 1 + p^a c run over
-        1 + p^a Z_p mod p^lvl, since lvl >= a + 1.
+        (1 + x)^kappa - 1 has valuation >= v(x) + v(kappa) once v(x) >= 1,
+        for every p: write kappa = p^e m with p not dividing m; the m-th
+        power keeps v(x) (so does m < 0, as (1 + x)^-1 - 1 = -x/(1 + x)),
+        and each p-th power adds at least 1, as (1 + x)^p - 1 = px + ... +
+        x^p with v(x^p) = p v(x) >= v(x) + 1.  The level has lvl >= 1 - w +
+        v(kappa_i) for every i, so that valuation is >= 1 and psi, of
+        conductor pZ_p, does not move.  Here w <= 0, so lvl >= 1.  The
+        shallow representatives 1 + p^a c run over 1 + p^a Z_p mod p^lvl,
+        since lvl >= a + 1.
         """
         p = self.p
-        extra = 2 if p == 2 else 0
-        lvl = max([1] + [1 - w + valuation(k, p) + extra for (_, k, _) in self.coords]
+        lvl = max([1] + [1 - w + valuation(k, p) for (_, k, _) in self.coords]
                   + [a + 1 for (mode, _, a) in self.coords if mode == "shallow"])
         spaces = []
         for mode, kappa, a in self.coords:

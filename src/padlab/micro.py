@@ -88,7 +88,10 @@ def wf_scan(xi: Distribution, region: ClopenSet, params: ScanParams = ScanParams
     Computes F(phi xi)(lambda y) = xi(phi psi(<lambda y, .>)) for the basis
     indicators phi at level k_test inside each spatial cell, lambda = p^-N,
     and y the direction representative.  Unit multiples of lambda permute
-    the direction grid, so one lambda per band suffices.
+    the direction grid, so one lambda per band suffices.  Each phi is paired
+    with every (direction, band) frequency in one eval_mods call, whose
+    values are read as they come: a direction keeps only its last nonzero
+    (band, test function), in band order and then test-function order.
     """
     p, n = xi.p, xi.n
     if region.dim != n or region.p != p:
@@ -98,28 +101,27 @@ def wf_scan(xi: Distribution, region: ClopenSet, params: ScanParams = ScanParams
         raise ValueError("region is finer than the test-function level")
     x_cells = region.cosets(level)
     dirs = sphere_direction_boxes(p, n, params.k_y)
+    lams = [Fraction(1, p**N) for N in range(params.n_min, params.n_max + 1)]
+    ws = [tuple(lam * yi for yi in d.center) for d in dirs for lam in lams]
     cells = {}
     for c in x_cells:
-        phis = [(b.center, SchwartzBruhat.indicator_box(b))
-                for b in c.subboxes(params.k_test)]
-        for d in dirs:
-            y = d.center
-            top_nonzero = None
-            witness = None
-            for N in range(params.n_min, params.n_max + 1):
-                lam = Fraction(1, p**N)
-                w = tuple(lam * yi for yi in y)
-                for phi_rep, phi in phis:
-                    val = xi.eval_mod(phi, w)
-                    if not val.is_zero():
-                        top_nonzero = N
-                        witness = (phi_rep, lam, y, val)
-            if top_nonzero is None:
-                cells[(c.center, y)] = CellResult(True, params.n_min)
-            elif top_nonzero < params.n_max:
-                cells[(c.center, y)] = CellResult(True, top_nonzero + 1, witness)
+        last: list = [None] * len(dirs)  # per direction: (N, witness)
+        for b in c.subboxes(params.k_test):
+            vals = xi.eval_mods(SchwartzBruhat.indicator_box(b), ws)
+            for i, val in enumerate(vals):
+                if val.is_zero():
+                    continue
+                j, band = divmod(i, len(lams))
+                N = params.n_min + band
+                if last[j] is None or N >= last[j][0]:
+                    last[j] = N, (b.center, lams[band], dirs[j].center, val)
+        for d, hit in zip(dirs, last):
+            if hit is None:
+                cells[(c.center, d.center)] = CellResult(True, params.n_min)
+            elif hit[0] < params.n_max:
+                cells[(c.center, d.center)] = CellResult(True, hit[0] + 1, hit[1])
             else:
-                cells[(c.center, y)] = CellResult(False, None, witness)
+                cells[(c.center, d.center)] = CellResult(False, None, hit[1])
     return ScanReport(params, region, cells)
 
 

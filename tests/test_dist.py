@@ -138,6 +138,93 @@ def test_eval_mod_agrees_with_generic():
 # -- graph measures ----------------------------------------------------------
 
 
+def psi_sum_oracle(W, phi, w):
+    """xi(phi * psi(<w, .>)) for the graph measure of W, one psi_eval per
+    base coset at the level where both phi(t, gamma(t)) and
+    psi(<w, (t, gamma(t))>) are constant, over every coset of the base."""
+    p = W.p
+    extra = W.lipschitz_extra()
+    shift = max((1 - valuation(wi, p) for wi in w if wi != 0), default=0)
+    level = max(phi.k + extra, W.base.max_level(), shift + extra)
+    terms = []
+    for cell in W.base.cosets(level):
+        x = W.point(cell.center)
+        val = phi.evaluate(x)
+        if not val.is_zero():
+            terms.append(val * psi_eval(sum(wi * xi for wi, xi in zip(w, x)), p))
+    while len(terms) > 1:  # add pairwise: a running sum copies its growing dict each time
+        terms = [a + b for a, b in zip(terms[::2], terms[1::2])] + terms[len(terms) & ~1:]
+    return sum(terms, ExactComplex.zero(p)) * Fraction(1, p ** (W.d * level))
+
+
+def _eval_mods_manifolds():
+    t, s = RatTerm.var(0), RatTerm.var(1)
+    half = RatTerm.const(Fraction(1, 2))
+    return [
+        # (manifold, m, k, deepest valuation of a frequency)
+        (GraphManifold(3, zp(3), (t**2 + RatTerm.const(1),)), 0, 1, -6),
+        (GraphManifold(5, zp(5), (t**2,)), 0, 1, -3),
+        (GraphManifold(3, zp(3, 2), (t * s + t**2,)), 0, 1, -2),  # a 2-D base
+        (GraphManifold(2, zp(2), (t * half + t**2,)), 1, 1, -7),  # not 2-integral
+        (point_manifold(3, (Fraction(1, 3),)), 1, 2, -7),
+        (point_manifold(3, (Fraction(1, 3), Fraction(2))), 1, 1, -7),
+        (point_manifold(2, (Fraction(3, 4), Fraction(1))), 2, 1, -8),
+    ]
+
+
+def _frequency(draw, p, n, deepest):
+    """A frequency with mixed denominators: p-powers down to p^deepest, and
+    at times a denominator prime to p; w = 0 is drawn too."""
+    def coord():
+        v = draw(st.integers(deepest, 2))
+        q = Fraction(draw(st.integers(-9, 9))) * Fraction(p) ** v
+        return q / draw(st.sampled_from([1, 1, p + 1]))
+    return tuple(coord() for _ in range(n))
+
+
+@st.composite
+def _graph_batches(draw):
+    which = draw(st.integers(0, len(_eval_mods_manifolds()) - 1))
+    W, m, k, deepest = _eval_mods_manifolds()[which]
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    cells = W.p ** (W.n * (m + k))
+    phi = random_sb(rng, W.p, W.n, m, k, entries=rng.randint(1, cells))
+    ws = [tuple(Fraction(0) for _ in range(W.n))]
+    ws += [_frequency(draw, W.p, W.n, deepest) for _ in range(draw(st.integers(1, 5)))]
+    return W, phi, draw(st.permutations(ws))
+
+
+@settings(max_examples=30, deadline=None)
+@given(batch=_graph_batches())
+def test_graph_eval_mods_against_psi_sum(batch):
+    W, phi, ws = batch
+    xi = graph_measure(W)
+    got = list(xi.eval_mods(phi, ws))
+    assert len(got) == len(ws)
+    for w, val in zip(ws, got):
+        assert val == psi_sum_oracle(W, phi, w), w
+        assert val == xi.eval_mod(phi, w), w
+        # modulate refines phi to the level of w: compare where that is small
+        shift = max((1 - valuation(wi, W.p) for wi in w if wi != 0), default=phi.k)
+        if len(phi.table) * W.p ** (W.n * max(0, shift - phi.k)) <= 3000:
+            assert val == xi.eval(phi.modulate(w)), w
+
+
+def test_eval_mods_haar_and_density():
+    # haar_on has its own batch, a density falls back to eval(modulate)
+    rng = random.Random(8)
+    for p in (2, 3, 5):
+        X = ClopenSet.single(Box(p, (Fraction(1),), 1))
+        for xi in (haar_on(X), density_distribution(parse("abs(x1)*ord(x1)", p), zp(p))):
+            for _ in range(3):
+                phi = random_sb(rng, p, 1, 1, 1, entries=p)
+                ws = [(Fraction(0),), (Fraction(1, p**3),), (Fraction(2, p),),
+                      (Fraction(1, (p + 1) * p**2),), (Fraction(p),)]
+                got = list(xi.eval_mods(phi, ws))
+                assert got == [xi.eval(phi.modulate(w)) for w in ws]
+                assert got == [xi.eval_mod(phi, w) for w in ws]
+
+
 def test_graph_measure_parabola():
     for p in (3, 5):
         W = GraphManifold(p, zp(p), (RatTerm.var(0) ** 2,))

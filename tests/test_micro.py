@@ -7,6 +7,7 @@ from padlab.cyclotomic import ExactComplex
 from padlab.dist import dirac, graph_measure, haar_on
 from padlab.graphs import GraphManifold, point_manifold
 from padlab.micro import (
+    CellResult,
     ConormalPresentation,
     ScanParams,
     closed_form_wf_cells,
@@ -73,6 +74,97 @@ def test_wf_scan_graph_parabola_matches_closed_form():
     assert got  # the parabola's conormal really shows up
     for key in got:
         assert report.replay(xi, key)
+
+
+def reference_wf_scan(xi, region, params):
+    """The scan as one eval_mod per (cell, direction, band, test function):
+    a cell's threshold follows its last nonzero band, and its witness is the
+    last nonzero pairing in (band, test function) order."""
+    p = xi.p
+    level = max(params.k_x, region.max_level())
+    dirs = sphere_direction_boxes(p, xi.n, params.k_y)
+    cells = {}
+    for c in region.cosets(level):
+        phis = [(b.center, SchwartzBruhat.indicator_box(b)) for b in c.subboxes(params.k_test)]
+        for d in dirs:
+            y = d.center
+            top, witness = None, None
+            for N in range(params.n_min, params.n_max + 1):
+                lam = Fraction(1, p**N)
+                w = tuple(lam * yi for yi in y)
+                for phi_rep, phi in phis:
+                    val = xi.eval_mod(phi, w)
+                    if not val.is_zero():
+                        top, witness = N, (phi_rep, lam, y, val)
+            if top is None:
+                cells[(c.center, y)] = CellResult(True, params.n_min)
+            elif top < params.n_max:
+                cells[(c.center, y)] = CellResult(True, top + 1, witness)
+            else:
+                cells[(c.center, y)] = CellResult(False, None, witness)
+    return cells
+
+
+def _parabola(p):
+    return graph_measure(GraphManifold(p, zp(p), (RatTerm.var(0) ** 2,)))
+
+
+SCAN_CASES = [
+    ("dirac", 2, lambda: dirac(2, (Fraction(1), Fraction(2))), zp(2, 2), SMALL),
+    ("dirac", 3, lambda: dirac(3, (Fraction(4),)), zp(3), SMALL),
+    ("dirac", 5, lambda: dirac(5, (Fraction(1, 5),)),
+     ClopenSet.single(Box(5, (Fraction(0),), -1)), SMALL),
+    ("haar", 2, lambda: haar_on(ClopenSet.single(Box(2, (Fraction(1), Fraction(0)), 1))),
+     zp(2, 2), SMALL),
+    ("haar", 3, lambda: haar_on(ClopenSet.single(Box(3, (Fraction(2),), 1))), zp(3), SMALL),
+    ("haar", 5, lambda: haar_on(zp(5)), zp(5), SMALL),
+    ("parabola", 2, lambda: _parabola(2), zp(2, 2), SMALL),
+    ("parabola", 3, lambda: _parabola(3), zp(3, 2), SMALL),
+    ("parabola", 5, lambda: _parabola(5), ClopenSet.single(Box(5, (Fraction(1), Fraction(1)), 1)),
+     SMALL),
+    ("parabola n_min=2", 3, lambda: _parabola(3),
+     ClopenSet.single(Box(3, (Fraction(1), Fraction(1)), 1)),
+     ScanParams(k_x=1, k_y=2, k_test=2, n_min=2, n_max=4)),
+]
+
+
+@pytest.mark.parametrize("name,p,make,region,params", SCAN_CASES,
+                         ids=[f"{c[0]}-p{c[1]}" for c in SCAN_CASES])
+def test_wf_scan_matches_reference_loop(name, p, make, region, params):
+    xi = make()
+    report = wf_scan(xi, region, params)
+    want = reference_wf_scan(xi, region, params)
+    assert list(report.cells) == list(want)
+    for key, res in want.items():
+        assert report.cells[key] == res, key
+    # the cases reach every verdict kind somewhere, tie-breaks included
+    if name == "parabola":
+        assert any(not r.vanishing for r in want.values())
+
+
+# ROADMAP item 1: a scan's verdicts can disagree with the closed form when
+# the direction grid and the test level do not match; each case pins one
+# known disagreement and flips to a pass when that is mended
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="band-N tests at level 2 resolve directions finer than k_y = 1")
+def test_wf_scan_p5_coarse_directions_match_closed_form():
+    # the scan finds 0 nonvanishing cells, the closed form 4
+    xi = _parabola(5)
+    region = ClopenSet.single(Box(5, (Fraction(1), Fraction(1)), 2))
+    params = ScanParams(k_y=1, k_test=2, n_max=4)
+    assert wf_scan(xi, region, params).nonvanishing() == closed_form_wf_cells(xi, region, params)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="one direction representative per level-k_y cell misses conormals")
+def test_wf_scan_level3_box_default_params_match_closed_form():
+    # the scan finds 1 nonvanishing cell, the closed form 6
+    xi = _parabola(3)
+    region = ClopenSet.single(Box(3, (Fraction(2), Fraction(4)), 3))
+    params = ScanParams()
+    assert wf_scan(xi, region, params).nonvanishing() == closed_form_wf_cells(xi, region, params)
 
 
 def test_wf_scan_unit_rotation_permutes_verdicts():
